@@ -539,7 +539,7 @@ def _cmd_fleet(args, out) -> int:
         trace_boards=trace_boards,
         engine=args.engine,
     )
-    # One traffic-generation pass serves every policy: schedules depend
+    # One traffic-generation pass serves every policy: the arrays depend
     # only on (seed, board_id, traffic).
     schedules = generate_fleet_schedules(base)
     store = monitor = None

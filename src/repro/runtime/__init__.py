@@ -7,8 +7,10 @@ boards onto one deterministic event kernel:
 - :mod:`repro.runtime.board` — the :class:`Board` abstraction (store +
   protocol builder + configuration manager + optional executive) taking the
   simulator as a shared handle,
-- :mod:`repro.runtime.traffic` — seeded request-stream generators (Poisson
-  bursts, diurnal swings, adversarial thrash),
+- :mod:`repro.runtime.traffic` — seeded request streams (Poisson bursts,
+  diurnal swings, adversarial thrash) generated for a whole fleet at once
+  as :class:`FleetTraffic` arrays, bit-identical to one ``random.Random``
+  loop per board,
 - :mod:`repro.runtime.policies` — the named policy registry unifying
   prefetch strategies and multi-slot eviction bundles,
 - :mod:`repro.runtime.fleet` — the fleet driver and the per-policy
@@ -38,9 +40,11 @@ from repro.runtime.policies import (
 )
 from repro.runtime.traffic import (
     TRAFFIC_PATTERNS,
+    FleetTraffic,
     board_rng,
     future_from_schedule,
     generate_schedule,
+    generate_traffic,
 )
 
 __all__ = [
@@ -62,7 +66,9 @@ __all__ = [
     "get_bundle",
     "policy_names",
     "TRAFFIC_PATTERNS",
+    "FleetTraffic",
     "board_rng",
     "future_from_schedule",
     "generate_schedule",
+    "generate_traffic",
 ]

@@ -4,8 +4,9 @@ Fleet boards interact only through the shared calendar's event ordering —
 each board owns its store, builder and manager, so per-board outcomes are a
 pure function of ``(schedule, policy, architecture)``.  That independence
 means fleet results need no global event heap at all: this module replays
-the same request schedules against the same management semantics as the
-kernel path, but advances state per *request step* instead of per *event*.
+the same :class:`~repro.runtime.traffic.FleetTraffic` against the same
+management semantics as the kernel path, but advances state per *request
+step* instead of per *event*.
 
 Two execution strategies, picked per policy bundle by :func:`vector_mode`:
 
@@ -53,9 +54,10 @@ Counter rows use the :data:`~repro.reconfig.manager.COUNTER_FIELDS` layout
 and are rebuilt through :meth:`ManagerStats.from_counters`, so the array
 form and the manager's dataclass can never disagree on field order.
 
-Preconditions (all guaranteed by the fleet driver): size-only bitstream
-registration (CRC always verifies), no readback verification, no upset
-injection — the failure/retry counters stay zero on both paths.
+The traffic's shape and region/module vocabulary are checked against the
+config on entry.  Preconditions guaranteed by the fleet driver: size-only
+bitstream registration (CRC always verifies), no readback verification, no
+upset injection — the failure/retry counters stay zero on both paths.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from repro.reconfig.architectures import ReconfigArchitecture
 from repro.reconfig.manager import COUNTER_FIELDS, ManagerStats
 from repro.reconfig.prefetch import NoPrefetchPolicy, OnSelectPrefetchPolicy
 from repro.runtime.policies import RuntimePolicy, create_policy, get_bundle
-from repro.runtime.traffic import future_from_schedule
+from repro.runtime.traffic import FleetTraffic, future_from_schedule
 from repro.sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet imports fast)
@@ -159,30 +161,6 @@ def _load_table(
         for region, modules in region_map.items()
         for module in modules
     }
-
-
-def _pack_schedules(
-    schedules: Sequence[Sequence[tuple[int, str, str]]],
-    ridx: dict[str, int],
-    midx: dict[str, dict[str, int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Structure-of-arrays form: (gaps, region idx, module idx), each (B, S)."""
-    n_boards = len(schedules)
-    steps = len(schedules[0]) if n_boards else 0
-    count = n_boards * steps
-    gaps = np.fromiter(
-        (gap for schedule in schedules for gap, _, _ in schedule),
-        dtype=np.int64, count=count,
-    ).reshape(n_boards, steps)
-    regs = np.fromiter(
-        (ridx[region] for schedule in schedules for _, region, _ in schedule),
-        dtype=np.int64, count=count,
-    ).reshape(n_boards, steps)
-    mods = np.fromiter(
-        (midx[region][module] for schedule in schedules for _, region, module in schedule),
-        dtype=np.int64, count=count,
-    ).reshape(n_boards, steps)
-    return gaps, regs, mods
 
 
 # ---------------------------------------------------------------------------
@@ -712,14 +690,20 @@ class _BoardSim:
 
 def simulate_fast_fleet(
     config: "FleetConfig",
-    schedules: Sequence[Sequence[tuple[int, str, str]]],
+    traffic: FleetTraffic,
     arch: ReconfigArchitecture,
     recorder=None,
 ) -> tuple[list[dict], list[int], FastRunStats]:
-    """Replay ``schedules`` under ``config``'s policy without the kernel.
+    """Replay ``traffic`` under ``config``'s policy without the kernel.
+
+    ``traffic`` holds the fleet's untraced boards — all of them, less the
+    first ``config.trace_boards`` that the driver runs on the kernel — and
+    must match ``config``'s request count and region map (``ValueError``
+    otherwise).  The vector cores read its arrays directly; the scalar
+    micro-simulator materializes one board's rows at a time.
 
     Returns per-board stats dicts (``ManagerStats.to_dict()`` form, in
-    schedule order), per-board end times (the last event on each board),
+    board order), per-board end times (the last event on each board),
     and the engine's execution stats.
 
     ``recorder`` (a :class:`repro.runtime.fleet.FleetTelemetryRecorder`)
@@ -730,24 +714,23 @@ def simulate_fast_fleet(
     """
     bundle = get_bundle(config.policy)
     region_map = config.region_map()
+    untraced = config.n_boards - min(config.trace_boards, config.n_boards)
+    traffic.check(region_map, untraced, config.requests_per_board)
     latency_ns = arch.request_latency_ns
     load_ns = _load_table(config, arch, region_map)
     mode = vector_mode(config.policy, config.region_slots)
     slots = config.region_slots if config.region_slots is not None else bundle.region_slots
-    n_boards = len(schedules)
+    n_boards = traffic.n_boards
     if mode is not None and n_boards:
-        region_names = list(region_map)
-        ridx = {name: i for i, name in enumerate(region_names)}
-        midx = {name: {m: i for i, m in enumerate(mods)} for name, mods in region_map.items()}
         n_modules = max(len(mods) for mods in region_map.values())
-        load_arr = np.zeros((len(region_names), n_modules), dtype=np.int64)
-        rank_arr = np.zeros((len(region_names), n_modules), dtype=np.int64)
-        for name, modules in region_map.items():
+        load_arr = np.zeros((len(region_map), n_modules), dtype=np.int64)
+        rank_arr = np.zeros((len(region_map), n_modules), dtype=np.int64)
+        for r, (name, modules) in enumerate(region_map.items()):
             for i, module in enumerate(modules):
-                load_arr[ridx[name], i] = load_ns[(name, module)]
+                load_arr[r, i] = load_ns[(name, module)]
             for rank, module in enumerate(sorted(modules)):
-                rank_arr[ridx[name], midx[name][module]] = rank
-        gaps, regs, mods = _pack_schedules(schedules, ridx, midx)
+                rank_arr[r, modules.index(module)] = rank
+        gaps, regs, mods = traffic.gaps, traffic.regions, traffic.modules
         if mode == "onselect":
             counters, ends = _vector_onselect(
                 gaps, regs, mods, load_arr=load_arr, latency_ns=latency_ns,
@@ -769,7 +752,7 @@ def simulate_fast_fleet(
             mode=f"vector:{mode}",
             vector_boards=n_boards,
             scalar_boards=0,
-            vector_steps=int(gaps.shape[1]),
+            vector_steps=traffic.steps,
         )
         return rows, end_times, stats
     rows = []
@@ -778,16 +761,17 @@ def simulate_fast_fleet(
         (recorder.scalar_demands, recorder.scalar_port)
         if recorder is not None else None
     )
-    for schedule in schedules:
+    for board in range(n_boards):
+        schedule = traffic.schedule(board)
         future = future_from_schedule(schedule) if bundle.needs_future else None
         runtime_policy = create_policy(
             config.policy, future=future, region_slots=config.region_slots
         )
-        board = _BoardSim(
+        sim = _BoardSim(
             schedule, runtime_policy, region_map, latency_ns, load_ns,
             telemetry=telemetry,
         )
-        counters, end = board.run()
+        counters, end = sim.run()
         rows.append(ManagerStats.from_counters(counters).to_dict())
         end_times.append(end)
     stats = FastRunStats(

@@ -1,11 +1,12 @@
 """The fleet driver: thousands of boards under one policy, two engines.
 
 Builds N independent :class:`~repro.runtime.board.Board` instances, gives
-each a seeded request schedule, and measures the fleet outcome.  Boards
-interact only through event ordering — each owns its store, builder and
-manager — so per-board results are a pure function of ``(seed, board_id,
-policy)`` and the report digest is reproducible run-to-run and invariant
-under board registration order.
+each a seeded request stream (one row of a
+:class:`~repro.runtime.traffic.FleetTraffic`), and measures the fleet
+outcome.  Boards interact only through event ordering — each owns its
+store, builder and manager — so per-board results are a pure function of
+``(seed, board_id, policy)`` and the report digest is reproducible
+run-to-run and invariant under board registration order.
 
 Two engines produce that outcome:
 
@@ -14,15 +15,15 @@ Two engines produce that outcome:
   discrete events.  Required for tracing and for any future cross-board
   coupling (shared backhaul, fleet-wide admission control).
 - ``engine="fast"`` (default) — :mod:`repro.runtime.fast` replays the same
-  schedules against array-state cores (or an exact scalar micro-simulator
-  for speculative policies), reproducing per-board counters and
+  traffic arrays against array-state cores (or an exact scalar
+  micro-simulator for speculative policies), reproducing per-board counters and
   ``end_time_ns`` exactly: ``FleetReport.digest()`` is identical across
   engines.  With ``trace_boards > 0`` the first boards still run through a
   kernel subset so their trace lanes keep full event fidelity.
 
 ``run_frontier`` replays the *same* seeded traffic against several policy
-bundles — schedules are generated once and shared across policies, since
-they depend only on ``(seed, board_id, traffic)``.
+bundles — traffic is generated once and shared across policies, since it
+depends only on ``(seed, board_id, traffic)``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from repro.reconfig.architectures import ReconfigArchitecture, all_cases
 from repro.runtime.board import Board
 from repro.runtime.fast import FastRunStats, simulate_fast_fleet
 from repro.runtime.policies import create_policy, get_bundle
-from repro.runtime.traffic import board_rng, future_from_schedule, generate_schedule
+from repro.runtime.traffic import FleetTraffic, board_rng, future_from_schedule, generate_traffic
 from repro.sim import Simulator, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps runtime import light
@@ -343,23 +344,20 @@ def _board_id(index: int) -> str:
     return f"b{index:04d}"
 
 
-def generate_fleet_schedules(config: FleetConfig) -> list[list[tuple[int, str, str]]]:
-    """Every board's request schedule, in board-id order.
+def generate_fleet_schedules(config: FleetConfig) -> FleetTraffic:
+    """Every board's request stream, in board-id order, as arrays.
 
-    Schedules depend only on ``(seed, board_id, traffic)`` — never on the
-    policy or engine — so one generation pass serves a whole frontier.
+    Board ``i`` draws from ``board_rng(config.seed, board_id(i))``, so the
+    traffic depends only on ``(seed, board_id, traffic)`` — never on the
+    policy or engine — and one generation pass serves a whole frontier.
     """
-    region_map = config.region_map()
-    return [
-        generate_schedule(
-            config.traffic,
-            board_rng(config.seed, _board_id(i)),
-            region_map,
-            config.requests_per_board,
-            mean_gap_ns=config.mean_gap_ns,
-        )
-        for i in range(config.n_boards)
-    ]
+    return generate_traffic(
+        config.traffic,
+        [board_rng(config.seed, _board_id(i)) for i in range(config.n_boards)],
+        config.region_map(),
+        config.requests_per_board,
+        mean_gap_ns=config.mean_gap_ns,
+    )
 
 
 def _build_kernel_board(
@@ -400,19 +398,18 @@ def _build_kernel_board(
 def _run_kernel_boards(
     config: FleetConfig,
     arch: ReconfigArchitecture,
-    schedules: Sequence[list[tuple[int, str, str]]],
-    first_index: int = 0,
+    traffic: FleetTraffic,
 ) -> tuple[list[Board], Simulator]:
-    """Build and run a (sub)fleet on one shared reference kernel."""
+    """Build and run the first ``len(traffic)`` boards on one shared kernel."""
     region_map = config.region_map()
     sim = Simulator()
     boards = [
         _build_kernel_board(
             config, sim, arch, region_map,
-            first_index + offset, schedule,
-            traced=(first_index + offset) < config.trace_boards,
+            index, traffic.schedule(index),
+            traced=index < config.trace_boards,
         )
-        for offset, schedule in enumerate(schedules)
+        for index in range(len(traffic))
     ]
     sim.run()
     return boards, sim
@@ -421,14 +418,16 @@ def _run_kernel_boards(
 def run_fleet(
     config: FleetConfig,
     engine: Optional[str] = None,
-    schedules: Optional[list[list[tuple[int, str, str]]]] = None,
+    schedules: Optional[FleetTraffic] = None,
     telemetry: Optional["TimeSeriesStore"] = None,
 ) -> FleetReport:
     """Run one policy over the whole fleet.
 
     ``engine`` overrides ``config.engine``; pass pre-generated
-    ``schedules`` (from :func:`generate_fleet_schedules`) to amortise
-    traffic generation across runs — they must match ``config``.
+    ``schedules`` (the :class:`~repro.runtime.traffic.FleetTraffic` from
+    :func:`generate_fleet_schedules`) to amortise traffic generation across
+    runs.  Their board count, request count and region map must match
+    ``config``, or ``ValueError`` is raised.
 
     ``telemetry`` is an optional sim-clock
     :class:`~repro.obs.telemetry.TimeSeriesStore`: the fast engine records
@@ -446,10 +445,8 @@ def run_fleet(
     t0 = time.perf_counter()
     if schedules is None:
         schedules = generate_fleet_schedules(config)
-    elif len(schedules) != config.n_boards:
-        raise ValueError(
-            f"got {len(schedules)} schedules for {config.n_boards} boards"
-        )
+    else:
+        schedules.check(config.region_map(), config.n_boards, config.requests_per_board)
     engine_stats: Optional[FastRunStats] = None
     if engine == "kernel":
         boards, sim = _run_kernel_boards(config, arch, schedules)

@@ -8,8 +8,11 @@ and end times — the same discipline PR 3 (incremental scheduler) and PR 4
 (batched link engine) use for their reference paths.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.reconfig import case_a_standalone
 from repro.reconfig.manager import COUNTER_FIELDS, ManagerStats, ReconfigError
 from repro.runtime import (
     ENGINES,
@@ -18,6 +21,7 @@ from repro.runtime import (
     policy_names,
     run_fleet,
     run_frontier,
+    simulate_fast_fleet,
     vector_mode,
 )
 
@@ -327,3 +331,59 @@ def test_property_sweep_full_matrix_smoke():
                 seed=13,
             )
             _parity(config)
+
+
+# -- traffic boundaries: shape and vocabulary are checked, edges are exact --
+
+
+@pytest.mark.parametrize("policy", ["lru", "history"])
+def test_engines_agree_when_sorted_region_names_differ_from_map_order(policy):
+    """Traffic draws regions over sorted names (R0, R1, R10, R11, R2, ...)
+    while the cores index region-map order: both must agree on one index."""
+    _parity(
+        FleetConfig(
+            n_boards=3, requests_per_board=60, policy=policy, regions=12, seed=4,
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"requests_per_board": 0},
+        {"n_boards": 0},
+        {"modules_per_region": 1, "traffic": "thrash"},
+        {"modules_per_region": 1, "traffic": "poisson"},
+    ],
+    ids=["no-requests", "no-boards", "single-module-thrash", "single-module-poisson"],
+)
+@pytest.mark.parametrize("policy", ["fixed", "lru", "history"])
+def test_engines_agree_on_traffic_edges(overrides, policy):
+    base = FleetConfig(n_boards=3, requests_per_board=30, policy=policy, seed=2)
+    _, fast = _parity(dataclasses.replace(base, **overrides))
+    assert len(fast.boards) == fast.n_boards
+
+
+def test_mismatched_traffic_is_rejected_at_the_boundary():
+    config = FleetConfig(n_boards=3, requests_per_board=20, policy="lru")
+    arch = case_a_standalone()
+    mismatched = {
+        "steps": generate_fleet_schedules(dataclasses.replace(config, requests_per_board=19)),
+        "regions": generate_fleet_schedules(dataclasses.replace(config, regions=3)),
+        "modules": generate_fleet_schedules(
+            dataclasses.replace(config, modules_per_region=5)
+        ),
+    }
+    for what, traffic in mismatched.items():
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match="traffic schedules"):
+                run_fleet(config, engine=engine, schedules=traffic)
+        with pytest.raises(ValueError, match="traffic schedules"):
+            simulate_fast_fleet(config, traffic, arch)
+    traffic = generate_fleet_schedules(config)
+    with pytest.raises(ValueError, match="3 boards"):
+        simulate_fast_fleet(dataclasses.replace(config, trace_boards=1), traffic, arch)
+    rows, ends, _ = simulate_fast_fleet(
+        dataclasses.replace(config, trace_boards=1), traffic[1:], arch
+    )
+    assert len(rows) == len(ends) == 2
