@@ -5,9 +5,10 @@ transmit/receive kernels one at a time — one Python-level pass over
 modulation, spreading, IFFT and despreading per frame per OFDM symbol.
 The batched engine (:class:`repro.mccdma.engine.LinkSimulationEngine`)
 runs whole frame batches through the vectorized kernels instead; the
-retained ``batched=False`` reference path *is* the per-frame loop, so
-this benchmark measures the speedup directly and proves the two paths
-field-identical on every (strategy, SNR) point.
+reference oracle (:class:`oracles.link_engine.PerFrameLinkEngine`, in
+``tests/``) *is* the per-frame loop, so this benchmark measures the
+speedup directly and proves the two field-identical on every
+(strategy, SNR) point.
 
 Acceptance (full run): >= 5x single-process speedup at 64-frame batches
 with 200 frames per SNR point (the issue's target is 10x).  Set
@@ -26,6 +27,7 @@ import os
 import time
 
 from conftest import write_bench_json
+from oracles.link_engine import PerFrameLinkEngine
 
 from repro.mccdma.engine import LinkEngineConfig, LinkSimulationEngine
 from repro.mccdma.transmitter import MCCDMAConfig
@@ -44,10 +46,10 @@ MIN_SPEEDUP = 2.0 if SMOKE else 5.0
 TARGET_SPEEDUP = 10.0
 
 
-def _engine(batched: bool) -> LinkSimulationEngine:
-    return LinkSimulationEngine(
+def _engine(engine_cls: type[LinkSimulationEngine]) -> LinkSimulationEngine:
+    return engine_cls(
         config=MCCDMAConfig(user_codes=USER_CODES),
-        engine=LinkEngineConfig(batched=batched, batch_frames=BATCH_FRAMES),
+        engine=LinkEngineConfig(batch_frames=BATCH_FRAMES),
     )
 
 
@@ -63,8 +65,8 @@ def _time_point(engine, strategy, snr_db, n_frames, seed, repeats):
 
 def test_linklevel_throughput():
     n_frames = SMOKE_FRAMES if SMOKE else FULL_FRAMES
-    batched_engine = _engine(batched=True)
-    reference_engine = _engine(batched=False)
+    batched_engine = _engine(LinkSimulationEngine)
+    reference_engine = _engine(PerFrameLinkEngine)
 
     rows = []
     for strategy in STRATEGIES:

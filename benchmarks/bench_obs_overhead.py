@@ -80,7 +80,7 @@ def _time_noop_span_ns() -> float:
 def _time_link_point(repeats: int) -> float:
     engine = LinkSimulationEngine(
         config=MCCDMAConfig(user_codes=(0, 3, 5, 9)),
-        engine=LinkEngineConfig(batched=True, batch_frames=64),
+        engine=LinkEngineConfig(batch_frames=64),
     )
     best = float("inf")
     for _ in range(repeats):

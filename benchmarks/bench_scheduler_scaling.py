@@ -4,9 +4,9 @@ The adequation hot path used to re-filter and re-sort the whole committed
 schedule for every candidate placement — O(n^3 log n) over a run.  The
 incrementally-indexed machinery (sorted per-resource timelines, ready-time
 frontiers, cross-step placement memoization) replaces those rescans; the
-retained naive reference path (``incremental=False``) *is* the seed
-implementation, so this benchmark measures the fix directly and proves the
-two paths byte-identical on every (size, scheduler, seed) point.
+naive reference oracle (:func:`oracles.scheduler.naive`, in ``tests/``)
+*is* the seed implementation, so this benchmark measures the fix directly
+and proves the two byte-identical on every (size, scheduler, seed) point.
 
 Scales: ~50 / ~100 / ~200-operation layered graphs.  Acceptance: at 200
 operations the incremental path is >= 5x faster, with identical schedule
@@ -23,6 +23,7 @@ import os
 import time
 
 from conftest import write_bench_json
+from oracles.scheduler import naive
 
 from repro.aaa import InsertionScheduler, SynDExScheduler
 from repro.aaa.costs import CostModel
@@ -45,7 +46,7 @@ MAX_EVAL_FRACTION = 0.9
 MIN_SPEEDUP_AT_200 = 5.0
 
 
-def _time_run(graph, architecture, library, scheduler_cls, incremental, repeats):
+def _time_run(graph, architecture, library, scheduler_cls, repeats):
     """Best-of-N wall time of one full scheduling run (construction + run:
     the seed paid for ranks and successor maps too).  Returns the last run's
     schedule and stats so callers can check digests and counters."""
@@ -54,7 +55,7 @@ def _time_run(graph, architecture, library, scheduler_cls, incremental, repeats)
     for _ in range(repeats):
         costs = CostModel(graph, architecture, library)
         t0 = time.perf_counter()
-        scheduler = scheduler_cls(costs, incremental=incremental)
+        scheduler = scheduler_cls(costs)
         schedule = scheduler.run()
         best = min(best, time.perf_counter() - t0)
         stats = scheduler.stats
@@ -74,10 +75,10 @@ def test_incremental_scheduler_scaling():
             n_ops = sum(1 for _ in graph.operations)
             for scheduler_cls in SCHEDULERS:
                 fast_schedule, fast_stats, fast_s = _time_run(
-                    graph, architecture, library, scheduler_cls, True, repeats=3
+                    graph, architecture, library, scheduler_cls, repeats=3
                 )
                 naive_schedule, naive_stats, naive_s = _time_run(
-                    graph, architecture, library, scheduler_cls, False, repeats=1
+                    graph, architecture, library, naive(scheduler_cls), repeats=1
                 )
                 rows.append(
                     {

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -17,6 +18,12 @@ from repro.flows import DesignFlow, RecordingObserver, parse_constraints
 from repro.mccdma.casestudy import build_mccdma_design
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# The speedup benchmarks time the product against the reference oracles
+# the tests use; make them importable as ``oracles.*``.
+_TESTS = str(pathlib.Path(__file__).resolve().parent.parent / "tests")
+if _TESTS not in sys.path:
+    sys.path.insert(0, _TESTS)
 
 #: Every flow built through :func:`build_case_study_flow` reports its stage
 #: events here; the session teardown aggregates them into BENCH_flow_stages.json.

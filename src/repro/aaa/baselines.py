@@ -25,13 +25,8 @@ __all__ = ["EarliestFinishScheduler", "RandomMappingScheduler"]
 class EarliestFinishScheduler(ListSchedulerBase):
     """FIFO candidate order + earliest-finish operator choice (myopic)."""
 
-    def __init__(
-        self,
-        costs: CostModel,
-        constraints: Optional[MappingConstraints] = None,
-        incremental: bool = True,
-    ):
-        super().__init__(costs, constraints, incremental=incremental)
+    def __init__(self, costs: CostModel, constraints: Optional[MappingConstraints] = None):
+        super().__init__(costs, constraints)
         self._order = {op.name: i for i, op in enumerate(self._topo)}
 
     def _select(self, ready: list[Operation]) -> Operation:
@@ -46,9 +41,8 @@ class RandomMappingScheduler(ListSchedulerBase):
         costs: CostModel,
         constraints: Optional[MappingConstraints] = None,
         seed: int = 0,
-        incremental: bool = True,
     ):
-        super().__init__(costs, constraints, incremental=incremental)
+        super().__init__(costs, constraints)
         self._order = {op.name: i for i, op in enumerate(self._topo)}
         self._rng = random.Random(seed)
 

@@ -30,13 +30,8 @@ class InsertionScheduler(SynDExScheduler):
         # (start, end); the per-element exclusivity filter is O(1) through
         # the factored condition index.  The gap sweep keeps the placement
         # cacheable: its only mutable input is the operator's timeline,
-        # which the commit-time dirty set tracks.  The naive branch pays the
-        # seed's full filter-and-sort per evaluation, like every other
-        # reference-path timeline query.
-        if self.incremental:
-            timeline = self.schedule.of_operator(operator)
-        else:
-            timeline = self._naive_of_operator(operator.name)
+        # which the commit-time dirty set tracks.
+        timeline = self.schedule.of_operator(operator)
         busy = [(s.start, s.end) for s in timeline if not self.graph.exclusive(op, s.op)]
         t = data_ready
         for start, end in busy:

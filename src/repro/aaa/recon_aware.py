@@ -42,9 +42,8 @@ class ReconfigAwareScheduler(SynDExScheduler):
         costs: CostModel,
         constraints: Optional[MappingConstraints] = None,
         prefetch: bool = True,
-        incremental: bool = True,
     ):
-        super().__init__(costs, constraints, incremental=incremental)
+        super().__init__(costs, constraints)
         self.prefetch = prefetch
         #: (operation name, operator name) -> control-word arrival time; the
         #: selector never moves once placed, so this is a constant per pair.
@@ -56,10 +55,9 @@ class ReconfigAwareScheduler(SynDExScheduler):
         """When the condition value reaches the region's manager."""
         assert op.condition is not None
         key = (op.name, operator.name)
-        if self.incremental:
-            cached = self._select_ready_cache.get(key)
-            if cached is not None:
-                return cached
+        cached = self._select_ready_cache.get(key)
+        if cached is not None:
+            return cached
         group = self.graph.condition_groups[op.condition.group]
         sel_placed = self._placed.get(group.selector.name)
         if sel_placed is None:
@@ -68,8 +66,7 @@ class ReconfigAwareScheduler(SynDExScheduler):
             return 0
         route = self.costs.route(sel_placed.operator, operator)
         value = sel_placed.end + route.transfer_ns(SELECT_WORD_BYTES)
-        if self.incremental:
-            self._select_ready_cache[key] = value
+        self._select_ready_cache[key] = value
         return value
 
     def _region_free_for_reconfig(self, op: Operation, operator: Operator) -> int:
@@ -80,14 +77,9 @@ class ReconfigAwareScheduler(SynDExScheduler):
         assert op.condition is not None
         # Computation frontier: identical to the base operator-ready query.
         ready = self._operator_ready(op, operator)
-        if self.incremental:
-            rec = self._rec_frontier.get(operator.name)
-            if rec is not None:
-                ready = max(ready, rec.get(op.condition.value, 0))
-        else:
-            for r in self._naive_reconfigs_of(operator.name):
-                if r.condition_value == op.condition.value:
-                    ready = max(ready, r.end)
+        rec = self._rec_frontier.get(operator.name)
+        if rec is not None:
+            ready = max(ready, rec.get(op.condition.value, 0))
         return ready
 
     # -- the setup-time hook ------------------------------------------------------------

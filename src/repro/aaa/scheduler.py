@@ -14,7 +14,7 @@ O(n³ log n) over the whole run.  The machinery here is now incremental:
   timelines, so timeline queries are lookups, not sweeps;
 - ready-time **frontiers** are kept per operator (max committed end per
   condition-case) and per medium (max committed end per source/destination
-  condition pair), making ``_operator_ready`` / ``_medium_ready`` O(#cases)
+  condition pair), making operator and medium ready-time queries O(#cases)
   instead of O(#committed);
 - exclusivity checks go through a factored condition index (operation name →
   ``(group, case)``), the scheduler-side counterpart of the O(1)
@@ -25,9 +25,10 @@ O(n³ log n) over the whole run.  The machinery here is now incremental:
   used, or the operation itself.
 
 Every cached value is a pure function of state that the dirty sets track,
-so the produced schedules are **byte-identical** to the naive reference
-path — pass ``incremental=False`` to any scheduler to get the original
-re-scanning implementation, which the digest property tests compare against.
+so the produced schedules are **byte-identical** to the original
+re-scanning implementation.  That implementation lives with the tests as
+the oracle ``tests/oracles/scheduler.py``, which the digest property tests
+and the scaling benchmark compare against.
 All operator/medium bookkeeping is keyed by *name*, never object identity,
 so graphs and schedules that round-tripped through the artifact cache
 behave exactly like resident ones.
@@ -42,7 +43,7 @@ from repro.aaa.costs import CostModel
 from repro.aaa.mapping import MappingConstraints
 from repro.aaa.schedule import Schedule, ScheduledOp, ScheduledReconfig, ScheduledTransfer
 from repro.arch.operator import Operator
-from repro.dfg.graph import AlgorithmGraph, Edge
+from repro.dfg.graph import AlgorithmGraph
 from repro.dfg.operations import Operation
 
 __all__ = ["Placement", "SchedulerStats", "ListSchedulerBase", "SynDExScheduler"]
@@ -97,25 +98,13 @@ class SchedulerStats:
 
 
 class ListSchedulerBase:
-    """Common state and placement machinery for all list schedulers.
+    """Common state and placement machinery for all list schedulers."""
 
-    ``incremental=False`` selects the retained naive reference path: full
-    timeline rescans and no placement memo, bit-for-bit the pre-index
-    behavior.  It exists for the byte-identity property tests and the
-    scaling benchmark's baseline; production callers never need it.
-    """
-
-    def __init__(
-        self,
-        costs: CostModel,
-        constraints: Optional[MappingConstraints] = None,
-        incremental: bool = True,
-    ):
+    def __init__(self, costs: CostModel, constraints: Optional[MappingConstraints] = None):
         self.costs = costs
         self.graph: AlgorithmGraph = costs.graph
         self.constraints = constraints or MappingConstraints()
         self.schedule = Schedule()
-        self.incremental = incremental
         self.stats = SchedulerStats()
         self._placed: dict[str, ScheduledOp] = {}
         #: operation name -> condition key (factored exclusivity index).
@@ -149,66 +138,15 @@ class ListSchedulerBase:
         #: share it.
         self._topo: list[Operation] = list(self.graph.topological_order())
 
-    # -- naive reference sweeps -------------------------------------------------
-    #
-    # The pre-index implementation re-filtered and re-sorted the whole
-    # committed schedule on every timeline query.  The naive path reproduces
-    # that behavior (and its cost) verbatim so the byte-identity property
-    # tests and the scaling benchmark compare against the true seed, not an
-    # accidentally index-accelerated hybrid.
-
-    def _naive_of_operator(self, name: str) -> list[ScheduledOp]:
-        return sorted(
-            (s for s in self.schedule.ops if s.operator.name == name),
-            key=lambda s: (s.start, s.end),
-        )
-
-    def _naive_of_medium(self, name: str) -> list[ScheduledTransfer]:
-        return sorted(
-            (t for t in self.schedule.transfers if t.medium.name == name),
-            key=lambda t: (t.start, t.end),
-        )
-
-    def _naive_reconfigs_of(self, name: str) -> list[ScheduledReconfig]:
-        return sorted(
-            (r for r in self.schedule.reconfigs if r.operator.name == name),
-            key=lambda r: (r.start, r.end),
-        )
-
     # -- timeline helpers ------------------------------------------------------
 
     def _operator_ready(self, op: Operation, operator: Operator) -> int:
         """Earliest time ``operator`` can start ``op`` (append-only timeline;
         exclusive alternatives may overlap)."""
-        if not self.incremental:
-            ready = 0
-            for s in self._naive_of_operator(operator.name):
-                if not self.graph.exclusive(op, s.op):
-                    ready = max(ready, s.end)
-            return ready
         ck = self._cond.get(op.name)
         ready = 0
         for key, end in self._op_frontier.get(operator.name, _EMPTY_DICT).items():
             if end > ready and not _excl(ck, key):
-                ready = end
-        return ready
-
-    def _medium_ready(self, edge: Edge, medium_name: str) -> int:
-        """Earliest time ``medium`` can carry ``edge`` (exclusivity-aware)."""
-        if not self.incremental:
-            ready = 0
-            for t in self._naive_of_medium(medium_name):
-                if self.graph.exclusive(edge.src, t.edge.src):
-                    continue
-                if self.graph.exclusive(edge.dst, t.edge.dst):
-                    continue
-                ready = max(ready, t.end)
-            return ready
-        src_ck = self._cond.get(edge.src.name)
-        dst_ck = self._cond.get(edge.dst.name)
-        ready = 0
-        for (s_key, d_key), end in self._med_frontier.get(medium_name, _EMPTY_DICT).items():
-            if end > ready and not _excl(src_ck, s_key) and not _excl(dst_ck, d_key):
                 ready = end
         return ready
 
@@ -247,8 +185,6 @@ class ListSchedulerBase:
     def _try_place(self, op: Operation, operator: Operator) -> Placement:
         """Earliest placement of ``op`` on ``operator`` given current state."""
         self.stats.placements_evaluated += 1
-        if not self.incremental:
-            return self._try_place_naive(op, operator)
         plan = self._comm_plan.get((op.name, operator.name))
         if plan is None:
             plan = self._build_comm_plan(op, operator)
@@ -282,38 +218,6 @@ class ListSchedulerBase:
             op=op, operator=operator, start=start, end=end, transfers=transfers, reconfig=reconfig
         )
 
-    def _try_place_naive(self, op: Operation, operator: Operator) -> Placement:
-        """The original evaluation: re-derives routes and rescans timelines."""
-        transfers: list[ScheduledTransfer] = []
-        local_medium_ready: dict[str, int] = {}  # reservations within this placement
-        data_ready = 0
-        for edge in self.graph.in_edges(op):
-            src = self._placed[edge.src.name]
-            if src.operator.name == operator.name:
-                data_ready = max(data_ready, src.end)
-                continue
-            route = self.costs.route(src.operator, operator)
-            t = src.end
-            for hop, medium in enumerate(route.media):
-                ready = max(
-                    self._medium_ready(edge, medium.name),
-                    local_medium_ready.get(medium.name, 0),
-                )
-                hop_start = max(t, ready)
-                hop_end = hop_start + medium.transfer_ns(edge.size_bytes)
-                transfers.append(
-                    ScheduledTransfer(edge=edge, medium=medium, start=hop_start, end=hop_end, hop=hop)
-                )
-                local_medium_ready[medium.name] = hop_end
-                t = hop_end
-            data_ready = max(data_ready, t)
-        raw_start = self._earliest_start(op, operator, data_ready)
-        start, reconfig = self._setup_for(op, operator, raw_start)
-        end = start + self.costs.duration(op, operator)
-        return Placement(
-            op=op, operator=operator, start=start, end=end, transfers=transfers, reconfig=reconfig
-        )
-
     def _placement_for(self, op: Operation, operator: Operator) -> Placement:
         """Memoizing wrapper around :meth:`_try_place`.
 
@@ -324,8 +228,6 @@ class ListSchedulerBase:
         once placed) predecessor placements.
         """
         self.stats.placements_requested += 1
-        if not self.incremental:
-            return self._try_place(op, operator)
         key = (op.name, operator.name)
         entry = self._placement_cache.get(key)
         if entry is not None:
@@ -367,9 +269,8 @@ class ListSchedulerBase:
             self.schedule.add_reconfig(placement.reconfig)
         self._placed[placement.op.name] = scheduled
         self.stats.operations_committed += 1
-        if self.incremental:
-            self._advance_frontiers(placement, scheduled)
-            self._invalidate_placements(placement)
+        self._advance_frontiers(placement, scheduled)
+        self._invalidate_placements(placement)
         return scheduled
 
     def _advance_frontiers(self, placement: Placement, scheduled: ScheduledOp) -> None:
@@ -505,13 +406,8 @@ class ListSchedulerBase:
 class SynDExScheduler(ListSchedulerBase):
     """The AAA schedule-pressure heuristic (SynDEx's adequation core)."""
 
-    def __init__(
-        self,
-        costs: CostModel,
-        constraints: Optional[MappingConstraints] = None,
-        incremental: bool = True,
-    ):
-        super().__init__(costs, constraints, incremental=incremental)
+    def __init__(self, costs: CostModel, constraints: Optional[MappingConstraints] = None):
+        super().__init__(costs, constraints)
         self._tails = self._tail_ranks()
 
     def _pressure(self, op: Operation) -> int:
@@ -523,14 +419,12 @@ class SynDExScheduler(ListSchedulerBase):
         placement, and :meth:`_invalidate_placements` voids the pressure the
         moment any of those placements goes stale — so a cached value is
         always exactly what a fresh evaluation would return."""
-        if not self.incremental:
-            return self._best_placement(op).end + self._tails[op.name]
         pressure = self._pressure_cache.get(op.name)
         if pressure is None:
             pressure = self._best_placement(op).end + self._tails[op.name]
             self._pressure_cache[op.name] = pressure
         else:
-            # Keep the accounting honest: the naive reference would have
+            # Keep the accounting honest: a memo-free scheduler would have
             # re-evaluated every candidate to answer this, so a pressure hit
             # still counts as that many requested (and memo-served) lookups.
             n = len(self._candidates(op))

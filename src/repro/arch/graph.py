@@ -7,9 +7,8 @@ two operators; the adequation cost model charges each hop.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.arch.media import Medium
 from repro.arch.operator import Operator
@@ -149,30 +148,48 @@ class ArchitectureGraph:
 
     # -- routing ---------------------------------------------------------------------
 
-    def _nx(self) -> nx.Graph:
-        g = nx.Graph()
-        for o in self._operators:
-            g.add_node(o, vertex="operator")
-        for m in self._media:
-            g.add_node(m, vertex="medium")
-        for o, m in self._links:
-            g.add_edge(o, m)
-        return g
+    def _parents(self, src: str) -> dict[str, str | None]:
+        """Breadth-first search tree from ``src`` as a vertex -> parent map.
+
+        Neighbours are visited in name order (iterating the sorted links
+        yields every adjacency list already sorted), so the parent chain to
+        any vertex is its fewest-hop path with the lexicographically
+        smallest sequence of vertex names — independent of set iteration
+        order, and so of the process's string hash seed.
+        """
+        adjacency: dict[str, list[str]] = {}
+        for o, m in sorted(self._links):
+            adjacency.setdefault(o, []).append(m)
+            adjacency.setdefault(m, []).append(o)
+        parents: dict[str, str | None] = {src: None}
+        queue = deque([src])
+        while queue:
+            vertex = queue.popleft()
+            for neighbour in adjacency.get(vertex, ()):
+                if neighbour not in parents:
+                    parents[neighbour] = vertex
+                    queue.append(neighbour)
+        return parents
 
     def route(self, src: Operator | str, dst: Operator | str) -> Route:
-        """The shortest route (fewest media hops) between two operators."""
+        """The shortest route (fewest media hops) between two operators.
+
+        Ties between equally short routes go to the lexicographically
+        smallest sequence of vertex names along the path.
+        """
         src_op = self.operator(src if isinstance(src, str) else src.name)
         dst_op = self.operator(dst if isinstance(dst, str) else dst.name)
         if src_op.name == dst_op.name:
             return Route(src_op, dst_op, ())
-        g = self._nx()
-        try:
-            path = nx.shortest_path(g, src_op.name, dst_op.name)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise ArchitectureError(
-                f"no route between {src_op.name!r} and {dst_op.name!r}"
-            ) from None
-        media = tuple(self._media[n] for n in path if n in self._media)
+        parents = self._parents(src_op.name)
+        if dst_op.name not in parents:
+            raise ArchitectureError(f"no route between {src_op.name!r} and {dst_op.name!r}")
+        path: list[str] = []
+        vertex: str | None = dst_op.name
+        while vertex is not None:
+            path.append(vertex)
+            vertex = parents[vertex]
+        media = tuple(self._media[n] for n in reversed(path) if n in self._media)
         return Route(src_op, dst_op, media)
 
     def validate(self) -> None:
@@ -186,9 +203,9 @@ class ArchitectureGraph:
                 problems.append(f"medium {m.name!r} connects fewer than two operators")
         ops = list(self._operators)
         if len(ops) > 1:
-            g = self._nx()
+            reachable = self._parents(ops[0])
             for other in ops[1:]:
-                if not nx.has_path(g, ops[0], other):
+                if other not in reachable:
                     problems.append(f"operator {other!r} unreachable from {ops[0]!r}")
         if problems:
             raise ArchitectureError("; ".join(problems))

@@ -365,11 +365,7 @@ def _cmd_linklevel(args, out) -> int:
             observer = sinks[0] if len(sinks) == 1 else CompositeObserver(*sinks)
         engine = LinkSimulationEngine(
             config=MCCDMAConfig(user_codes=tuple(range(args.users))),
-            engine=LinkEngineConfig(
-                batch_frames=args.batch,
-                batched=not args.reference,
-                ci_halfwidth=args.ci_halfwidth,
-            ),
+            engine=LinkEngineConfig(batch_frames=args.batch, ci_halfwidth=args.ci_halfwidth),
             observer=observer,
         )
         pool = None
@@ -816,10 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_link.add_argument(
         "--ci-halfwidth", type=float, default=None, metavar="W",
         help="early-stop a point once the 95%% Wilson half-width on BER drops below W",
-    )
-    p_link.add_argument(
-        "--reference", action="store_true",
-        help="use the per-frame reference path instead of the batched kernels",
     )
     p_link.add_argument("--json", action="store_true", help="emit results as JSON")
 

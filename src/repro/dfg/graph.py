@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.dfg.conditions import ConditionGroup
 from repro.dfg.operations import Operation
@@ -196,25 +195,35 @@ class AlgorithmGraph:
 
     # -- structure ---------------------------------------------------------------
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Lossless export for graph algorithms."""
-        g = nx.MultiDiGraph(name=self.name)
-        for op in self._ops.values():
-            g.add_node(op.name, operation=op)
+    def _kahn_order(self) -> list[str]:
+        """Kahn's algorithm taking the smallest ready name first.
+
+        The result is the lexicographic topological order; on a cycle it
+        stops short, leaving the operations on or behind the cycle out.
+        """
+        indegree = dict.fromkeys(self._ops, 0)
         for e in self._edges:
-            g.add_edge(e.src.name, e.dst.name, edge=e, bytes=e.size_bytes)
-        return g
+            indegree[e.dst.name] += 1
+        ready = [name for name, degree in indegree.items() if degree == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for e in self._out.get(name, ()):
+                indegree[e.dst.name] -= 1
+                if indegree[e.dst.name] == 0:
+                    heapq.heappush(ready, e.dst.name)
+        return order
 
     def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self.to_networkx())
+        return len(self._kahn_order()) == len(self._ops)
 
     def topological_order(self) -> list[Operation]:
         """Operations in dependency order (stable across runs)."""
-        g = self.to_networkx()
-        try:
-            order = list(nx.lexicographical_topological_sort(g))
-        except nx.NetworkXUnfeasible:
-            raise ValueError(f"graph {self.name!r} contains a dependency cycle") from None
+        order = self._kahn_order()
+        if len(order) < len(self._ops):
+            raise ValueError(f"graph {self.name!r} contains a dependency cycle")
         return [self._ops[n] for n in order]
 
     def exclusive(self, a: Operation, b: Operation) -> bool:

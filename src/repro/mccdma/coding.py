@@ -9,9 +9,9 @@ Both directions are vectorized: the encoder turns the shift register into a
 sliding window of K bits and assembles both generator outputs with table
 lookups; the decoder runs the add-compare-select recursion over *all* states
 (and, in :meth:`ConvolutionalCoder.decode_batch`, all frames) per trellis
-step.  The original scalar implementations are retained verbatim as
-``encode_reference``/``decode_reference`` so property tests can assert the
-vectorized kernels are bit-exact against the seed path.
+step.  The original scalar encoder and decoder live with the tests as the
+oracle ``tests/oracles/coding.py``, against which these kernels are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -98,23 +98,6 @@ class ConvolutionalCoder:
         out[1::2] = out_bits[regs, 1]
         return out
 
-    def encode_reference(self, bits: np.ndarray) -> np.ndarray:
-        """The seed's scalar encoder, retained for bit-exactness tests."""
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.ndim != 1:
-            raise ValueError("bits must be 1-D")
-        if bits.size and bits.max() > 1:
-            raise ValueError("bits must be 0/1")
-        tailed = np.concatenate([bits, np.zeros(self.CONSTRAINT - 1, dtype=np.uint8)])
-        out = np.empty(2 * tailed.size, dtype=np.uint8)
-        state = 0
-        for i, b in enumerate(tailed):
-            reg = (int(b) << (self.CONSTRAINT - 1)) | state
-            out[2 * i] = bin(reg & self.G[0]).count("1") & 1
-            out[2 * i + 1] = bin(reg & self.G[1]).count("1") & 1
-            state = reg >> 1
-        return out
-
     # -- decoding ----------------------------------------------------------------
 
     def _check_coded(self, coded: np.ndarray, length: int) -> int:
@@ -195,55 +178,6 @@ class ConvolutionalCoder:
                 "zero-terminated (encode() appends K-1 tail zeros) or was "
                 "truncated to an impossible state sequence"
             )
-
-    def decode_reference(self, coded: np.ndarray) -> np.ndarray:
-        """The seed's scalar Viterbi decoder, retained for bit-exactness tests."""
-        coded = np.asarray(coded, dtype=np.uint8)
-        if coded.size % 2:
-            raise ValueError("coded length must be even (rate 1/2)")
-        n_steps = coded.size // 2
-        if n_steps < self.CONSTRAINT - 1:
-            raise ValueError("coded sequence shorter than the tail")
-        n_states = self.n_states
-        INF = _INF
-
-        # Precompute transitions: (state, input) -> (next_state, out0, out1)
-        nxt = np.zeros((n_states, 2), dtype=np.int64)
-        outs = np.zeros((n_states, 2, 2), dtype=np.uint8)
-        for s in range(n_states):
-            for b in (0, 1):
-                reg = (b << (self.CONSTRAINT - 1)) | s
-                nxt[s, b] = reg >> 1
-                outs[s, b, 0] = bin(reg & self.G[0]).count("1") & 1
-                outs[s, b, 1] = bin(reg & self.G[1]).count("1") & 1
-
-        metric = np.full(n_states, INF, dtype=np.int64)
-        metric[0] = 0
-        backptr = np.zeros((n_steps, n_states), dtype=np.uint8)
-        prev_state = np.zeros((n_steps, n_states), dtype=np.int64)
-        for t in range(n_steps):
-            r0, r1 = int(coded[2 * t]), int(coded[2 * t + 1])
-            new_metric = np.full(n_states, INF, dtype=np.int64)
-            for s in range(n_states):
-                if metric[s] >= INF:
-                    continue
-                for b in (0, 1):
-                    ns = nxt[s, b]
-                    cost = (outs[s, b, 0] ^ r0) + (outs[s, b, 1] ^ r1)
-                    cand = metric[s] + cost
-                    if cand < new_metric[ns]:
-                        new_metric[ns] = cand
-                        backptr[t, ns] = b
-                        prev_state[t, ns] = s
-            metric = new_metric
-
-        # Zero-termination: trace back from state 0.
-        state = 0
-        decoded = np.empty(n_steps, dtype=np.uint8)
-        for t in range(n_steps - 1, -1, -1):
-            decoded[t] = backptr[t, state]
-            state = prev_state[t, state]
-        return decoded[: n_steps - (self.CONSTRAINT - 1)]  # drop the tail
 
     # -- sizing ------------------------------------------------------------------
 

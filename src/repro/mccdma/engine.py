@@ -9,9 +9,9 @@ that loop fast without changing a single output bit:
   vectorized transmitter/receiver kernels
   (:meth:`~repro.mccdma.transmitter.MCCDMATransmitter.transmit_frames` /
   :meth:`~repro.mccdma.receiver.MCCDMAReceiver.receive_frames`), grouped by
-  identical modulation plans; ``batched=False`` retains the seed-path
-  per-frame loop, and both paths are field-identical on every
-  :class:`LinkResult`.
+  identical modulation plans.  Every :class:`LinkResult` is field-identical
+  to the original one-frame-at-a-time loop, which lives with the tests as
+  the oracle ``tests/oracles/link_engine.py``.
 - **Collision-free seeding** — every frame derives a data stream and a noise
   stream from per-frame children of one :class:`numpy.random.SeedSequence`
   (:func:`frame_seed_sequences`), so distinct seeds can never share streams
@@ -140,8 +140,6 @@ class LinkEngineConfig:
 
     #: Frames simulated per batch (and per early-stopping check).
     batch_frames: int = 64
-    #: ``False`` selects the retained per-frame seed-reference path.
-    batched: bool = True
     #: Early-stop a constant-SNR point once the Wilson half-width on its BER
     #: falls below this value (``None`` disables early stopping).
     ci_halfwidth: Optional[float] = None
@@ -262,29 +260,13 @@ class LinkSimulationEngine:
 
     # -- frame batches ----------------------------------------------------------
 
-    def _run_batch_reference(self, indices, trace, plans, streams, acc) -> None:
-        """The retained seed path: one frame at a time through the scalar
-        kernels.  This is the bit-exactness reference for the batched path."""
-        n_users = self.config.n_users
-        for i in indices:
-            plan = list(plans[i])
-            data_ss, noise_ss = streams[i]
-            nbits = self.tx.frame_bits(plan)
-            bits = np.random.default_rng(data_ss).integers(
-                0, 2, size=(n_users, nbits)
-            ).astype(np.uint8)
-            frame = self.tx.transmit_frame(bits, plan)
-            channel = AWGNChannel(float(trace[i]), seed=noise_ss)
-            received = self.rx.receive_frame(frame, samples=channel.transmit(frame.samples))
-            acc.add_frame(bits.size, int(np.sum(received != bits)))
-
-    def _run_batch_vectorized(self, indices, trace, plans, streams, acc) -> None:
+    def _run_batch(self, indices, trace, plans, streams, acc) -> None:
         """Simulate a batch of frames through the vectorized kernels.
 
         Frames are grouped by identical modulation plan (fixed strategies
         have one group; adaptive plans collapse to a handful).  Data bits
         and AWGN keep their per-frame streams, so results are frame-order
-        independent and bit-identical to the reference path.
+        independent and bit-identical to simulating one frame at a time.
         """
         n_users = self.config.n_users
         groups: dict[tuple[Modulation, ...], list[int]] = {}
@@ -307,7 +289,7 @@ class LinkSimulationEngine:
             errors = (recovered != bits).reshape(len(members), -1).sum(axis=1)
             for j, i in enumerate(members):
                 frame_stats[i] = (bits[j].size, int(errors[j]))
-        # Accumulate in frame order so totals match the reference exactly.
+        # Accumulate in frame order so totals match a per-frame run exactly.
         for i in indices:
             n_bits, n_errors = frame_stats[i]
             acc.add_frame(n_bits, n_errors)
@@ -336,9 +318,9 @@ class LinkSimulationEngine:
         With ``ci_halfwidth`` configured, simulation stops at the first
         batch boundary (after ``min_frames``) where the Wilson-interval
         half-width on the BER estimate drops below the target; the returned
-        ``n_frames`` is the number of frames actually simulated.  Early
-        stopping applies identically to the batched and reference paths, so
-        they remain field-identical.
+        ``n_frames`` is the number of frames actually simulated.  The check
+        runs at batch boundaries only, so it does not depend on how a batch
+        is simulated.
         """
         if n_frames < 1:
             raise ValueError("n_frames must be >= 1")
@@ -353,16 +335,13 @@ class LinkSimulationEngine:
         streams = frame_seed_sequences(seed, len(trace))
         acc = _Accumulator()
         flow = f"link:{strategy}"
-        run_batch = (
-            self._run_batch_vectorized if cfg.batched else self._run_batch_reference
-        )
         started = perf_counter()
         stopped_early = False
         for start in range(0, len(trace), cfg.batch_frames):
             indices = list(range(start, min(start + cfg.batch_frames, len(trace))))
             batch_started = perf_counter()
             batch_span = tracer.span("link:batch").start() if tracer.enabled else None
-            run_batch(indices, trace, plans, streams, acc)
+            self._run_batch(indices, trace, plans, streams, acc)
             halfwidth = wilson_halfwidth(acc.error_bits, acc.total_bits, cfg.ci_z)
             if batch_span is not None:
                 batch_span.set_attribute("frames", len(indices))
@@ -379,7 +358,6 @@ class LinkSimulationEngine:
                     "error_bits": acc.error_bits,
                     "ber": acc.error_bits / acc.total_bits if acc.total_bits else 0.0,
                     "ci_halfwidth": halfwidth,
-                    "batched": cfg.batched,
                 },
             )
             if (
@@ -409,7 +387,6 @@ class LinkSimulationEngine:
                 "ber": result.ber,
                 "switches": result.switches,
                 "early_stopped": stopped_early,
-                "batched": cfg.batched,
             },
         )
         if tracer.enabled:

@@ -8,9 +8,7 @@ and SNR-adaptive transmission over a noisy channel, plus the net goodput
 once the ≈4 ms reconfiguration cost of switching is charged.
 
 The Monte-Carlo loop itself lives in :mod:`repro.mccdma.engine`; the
-functions here are thin wrappers kept for API stability.  ``batched=False``
-selects the retained per-frame reference path, which the batched default
-reproduces field-for-field.
+functions here are thin wrappers kept for API stability.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ def simulate_link(
     seed: int = 0,
     threshold_db: float = 2.0,
     hysteresis_db: float = 1.0,
-    batched: bool = True,
     batch_frames: int = 64,
     observer: Optional[FlowObserver] = None,
 ) -> LinkResult:
@@ -50,11 +47,11 @@ def simulate_link(
        seeds once a trace reaches 10 000 frames (seed 0's frame 10 000
        reused seed 1's frame-0 noise).  Results are therefore numerically
        different from those revisions, but remain deterministic per seed and
-       identical between the ``batched`` and reference paths.
+       independent of ``batch_frames``.
     """
     engine = LinkSimulationEngine(
         config=config,
-        engine=LinkEngineConfig(batch_frames=batch_frames, batched=batched),
+        engine=LinkEngineConfig(batch_frames=batch_frames),
         observer=observer,
         threshold_db=threshold_db,
         hysteresis_db=hysteresis_db,
@@ -67,7 +64,6 @@ def adaptive_vs_fixed(
     seed: int = 0,
     threshold_db: float = 2.0,
     hysteresis_db: float = 1.0,
-    batched: bool = True,
     observer: Optional[FlowObserver] = None,
 ) -> dict[str, LinkResult]:
     """All three strategies over the same channel realization."""
@@ -75,7 +71,7 @@ def adaptive_vs_fixed(
         strategy: simulate_link(
             strategy, snr_trace_db, seed=seed,
             threshold_db=threshold_db, hysteresis_db=hysteresis_db,
-            batched=batched, observer=observer,
+            observer=observer,
         )
         for strategy in ("qpsk", "qam16", "adaptive")
     }

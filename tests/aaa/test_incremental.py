@@ -1,11 +1,10 @@
 """Incremental-scheduler equivalence and bookkeeping tests.
 
-The tentpole guarantee of the indexed scheduling machinery is *byte
-identity*: with ``incremental=True`` (the default) every scheduler must
-produce exactly the schedule the retained naive reference path
-(``incremental=False``, the seed's full-rescan implementation) produces —
-same placements, same transfers, same reconfigurations, same commit order.
-:meth:`repro.aaa.schedule.Schedule.digest` is the oracle.
+The guarantee of the indexed scheduling machinery is *byte identity*: every
+scheduler must produce exactly the schedule its naive reference variant
+(:func:`oracles.scheduler.naive`, the original full-rescan implementation)
+produces — same placements, same transfers, same reconfigurations, same
+commit order.  :meth:`repro.aaa.schedule.Schedule.digest` is the oracle.
 
 Alongside the property tests live the adversarial validator fixtures, the
 makespan-frontier cache checks and the pickle-round-trip (name-based
@@ -15,6 +14,7 @@ equality) checks that pin the supporting bookkeeping down.
 import pickle
 
 import pytest
+from oracles.scheduler import naive
 
 from repro.aaa import (
     EarliestFinishScheduler,
@@ -56,9 +56,9 @@ def _families(seed: int):
     ]
 
 
-def _run(graph, scheduler_cls, incremental):
+def _run(graph, scheduler_cls):
     costs = CostModel(graph, BOARD.architecture, LIBRARY)
-    scheduler = scheduler_cls(costs, incremental=incremental)
+    scheduler = scheduler_cls(costs)
     schedule = scheduler.run()
     return schedule, scheduler.stats
 
@@ -74,8 +74,8 @@ def test_incremental_matches_naive_digest(seed):
     for the naive evaluation count in the regression guard)."""
     for graph in _families(seed):
         for scheduler_cls in SCHEDULERS:
-            fast_schedule, fast_stats = _run(graph, scheduler_cls, incremental=True)
-            naive_schedule, naive_stats = _run(graph, scheduler_cls, incremental=False)
+            fast_schedule, fast_stats = _run(graph, scheduler_cls)
+            naive_schedule, naive_stats = _run(graph, naive(scheduler_cls))
             assert fast_schedule.digest() == naive_schedule.digest(), (
                 f"{scheduler_cls.__name__} diverged on {graph.name} (seed {seed})"
             )
@@ -90,8 +90,8 @@ def test_random_mapping_matches_naive_digest():
     """The seeded random baseline must also be bit-stable across paths."""
     for seed in range(5):
         graph = layered_random_graph(4, 3, seed=seed)
-        fast_schedule, _ = _run(graph, RandomMappingScheduler, incremental=True)
-        naive_schedule, _ = _run(graph, RandomMappingScheduler, incremental=False)
+        fast_schedule, _ = _run(graph, RandomMappingScheduler)
+        naive_schedule, _ = _run(graph, naive(RandomMappingScheduler))
         assert fast_schedule.digest() == naive_schedule.digest()
 
 
@@ -105,8 +105,8 @@ def test_memo_cuts_evaluations_on_100_op_graph():
     small = layered_random_graph(10, 5, seed=42)  # ~50 ops
     large = layered_random_graph(10, 10, seed=42)  # ~100 ops
 
-    _, small_stats = _run(small, SynDExScheduler, incremental=True)
-    _, large_stats = _run(large, SynDExScheduler, incremental=True)
+    _, small_stats = _run(small, SynDExScheduler)
+    _, large_stats = _run(large, SynDExScheduler)
 
     assert large_stats.placements_evaluated <= 0.85 * large_stats.placements_requested
     small_saved = small_stats.placements_requested - small_stats.placements_evaluated
@@ -115,7 +115,7 @@ def test_memo_cuts_evaluations_on_100_op_graph():
 
     # The requested count is the naive workload: verify against an actual
     # naive run once, at the 100-op scale the guard targets.
-    _, naive_stats = _run(large, SynDExScheduler, incremental=False)
+    _, naive_stats = _run(large, naive(SynDExScheduler))
     assert large_stats.placements_requested == naive_stats.placements_evaluated
     assert naive_stats.placement_cache_hits == 0
 
@@ -227,15 +227,15 @@ def test_adequation_result_reports_cached_makespan():
 
 def test_unpickled_graph_schedules_identically():
     graph = conditioned_chain_graph(4, 2)
-    fast_schedule, _ = _run(graph, ReconfigAwareScheduler, incremental=True)
+    fast_schedule, _ = _run(graph, ReconfigAwareScheduler)
     clone = pickle.loads(pickle.dumps(graph))
-    clone_schedule, _ = _run(clone, ReconfigAwareScheduler, incremental=True)
+    clone_schedule, _ = _run(clone, ReconfigAwareScheduler)
     assert fast_schedule.digest() == clone_schedule.digest()
 
 
 def test_unpickled_schedule_answers_queries_for_resident_objects():
     graph = layered_random_graph(4, 3, seed=5)
-    schedule, _ = _run(graph, SynDExScheduler, incremental=True)
+    schedule, _ = _run(graph, SynDExScheduler)
     clone = pickle.loads(pickle.dumps(schedule))
     assert clone.digest() == schedule.digest()
     assert clone.makespan() == schedule.makespan()

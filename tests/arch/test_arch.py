@@ -10,6 +10,7 @@ from repro.arch import (
     Operator,
     OperatorKind,
     dual_region_board,
+    standalone_fpga_board,
     sundance_board,
 )
 from repro.dfg.library import DSP_CLASS, FPGA_CLASS
@@ -158,3 +159,108 @@ def test_summary_text():
     board = sundance_board()
     text = board.architecture.summary()
     assert "DSP" in text and "SHB" in text and "IL" in text
+
+
+def test_validate_detects_unreachable_operator():
+    """Two islands: every medium is shared, but nothing links them."""
+    g = ArchitectureGraph()
+    for name in ("a", "b", "c", "d"):
+        g.add_operator(op(name))
+    g.add_medium(Medium("m1", MediumKind.BUS, 10))
+    g.add_medium(Medium("m2", MediumKind.BUS, 10))
+    for o, m in (("a", "m1"), ("b", "m1"), ("c", "m2"), ("d", "m2")):
+        g.connect(o, m)
+    with pytest.raises(ArchitectureError) as err:
+        g.validate()
+    message = str(err.value)
+    assert "operator 'c' unreachable from 'a'" in message
+    assert "operator 'd' unreachable from 'a'" in message
+    assert "'b' unreachable" not in message
+    assert "fewer than two" not in message
+
+
+# A tie between three one-hop routes.  The links live in a set, so any
+# choice that follows set iteration order changes with the string hash
+# seed, which every spawned worker draws afresh.
+_TIED_ROUTE_SCRIPT = """
+import sys
+from repro.arch import ArchitectureGraph, Medium, MediumKind, Operator, OperatorKind
+from repro.dfg.library import FPGA_CLASS
+
+g = ArchitectureGraph()
+for name in ("P1", "P2"):
+    g.add_operator(Operator(name, OperatorKind.FPGA_STATIC, FPGA_CLASS, 50.0, device="xc2v2000"))
+for name in ("BUS_A", "BUS_B", "BUS_C"):
+    g.add_medium(Medium(name, MediumKind.BUS, 100.0, 100))
+links = [(o, m) for o in ("P1", "P2") for m in ("BUS_A", "BUS_B", "BUS_C")]
+if sys.argv[1] == "reversed":
+    links.reverse()
+for o, m in links:
+    g.connect(o, m)
+print(g.route("P1", "P2"), "|", g.route("P2", "P1"))
+"""
+
+
+def test_tied_route_is_independent_of_hash_seed_and_connect_order():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    answers = set()
+    for hash_seed in ("0", "1", "5", "7"):
+        for order in ("forward", "reversed"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            proc = subprocess.run(
+                [sys.executable, "-c", _TIED_ROUTE_SCRIPT, order],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            answers.add(proc.stdout.strip())
+    assert answers == {"P1 -[BUS_A]-> P2 | P2 -[BUS_A]-> P1"}
+
+
+def test_tied_multi_hop_route_takes_smallest_vertex_sequence():
+    """Two two-hop routes tie; the first differing vertex decides."""
+    g = ArchitectureGraph()
+    for name in ("P1", "A_hub", "B_hub", "P2"):
+        g.add_operator(op(name))
+    for name in ("X_bus", "Y_bus", "Z_bus"):
+        g.add_medium(Medium(name, MediumKind.BUS, 100.0, 100))
+    for o, m in (
+        ("P1", "Y_bus"), ("A_hub", "Y_bus"), ("A_hub", "Z_bus"),
+        ("P1", "X_bus"), ("B_hub", "X_bus"), ("B_hub", "Z_bus"), ("P2", "Z_bus"),
+    ):
+        g.connect(o, m)
+    # P1-X_bus-B_hub-Z_bus-P2 beats P1-Y_bus-A_hub-Z_bus-P2 at X_bus < Y_bus,
+    # while from P2 the routes first differ at A_hub < B_hub.
+    assert [m.name for m in g.route("P1", "P2").media] == ["X_bus", "Z_bus"]
+    assert [m.name for m in g.route("P2", "P1").media] == ["Z_bus", "Y_bus"]
+
+
+@pytest.mark.parametrize(
+    "factory,routes",
+    [
+        (
+            sundance_board,
+            {
+                ("DSP", "F1"): ["SHB"],
+                ("DSP", "D1"): ["SHB", "IL"],
+                ("F1", "DSP"): ["SHB"],
+                ("F1", "D1"): ["IL"],
+                ("D1", "DSP"): ["IL", "SHB"],
+                ("D1", "F1"): ["IL"],
+            },
+        ),
+        (standalone_fpga_board, {("F1", "D1"): ["IL"], ("D1", "F1"): ["IL"]}),
+    ],
+)
+def test_stock_board_routes_are_pinned(factory, routes):
+    arch = factory().architecture
+    names = [o.name for o in arch.operators]
+    assert {(a, b) for a in names for b in names if a != b} == set(routes)
+    for (a, b), media in routes.items():
+        assert [m.name for m in arch.route(a, b).media] == media

@@ -1,7 +1,8 @@
-"""Batched link-simulation engine vs the per-frame reference path."""
+"""Batched link-simulation engine vs the per-frame reference oracle."""
 
 import numpy as np
 import pytest
+from oracles.link_engine import PerFrameLinkEngine
 
 from repro.flows.observe import RecordingObserver
 from repro.mccdma.engine import (
@@ -18,12 +19,8 @@ from repro.mccdma.transmitter import MCCDMAConfig
 
 
 def _pair(config, batch_frames=4, **kwargs):
-    ref = LinkSimulationEngine(
-        config, LinkEngineConfig(batched=False, batch_frames=batch_frames, **kwargs)
-    )
-    bat = LinkSimulationEngine(
-        config, LinkEngineConfig(batched=True, batch_frames=batch_frames, **kwargs)
-    )
+    ref = PerFrameLinkEngine(config, LinkEngineConfig(batch_frames=batch_frames, **kwargs))
+    bat = LinkSimulationEngine(config, LinkEngineConfig(batch_frames=batch_frames, **kwargs))
     return ref, bat
 
 
@@ -44,8 +41,8 @@ def test_batched_equals_reference_across_seeds(strategy, user_codes):
 
 
 def test_simulate_link_wrapper_paths_agree():
-    result = simulate_link("adaptive", TRACE, seed=5, batched=True)
-    reference = simulate_link("adaptive", TRACE, seed=5, batched=False)
+    result = simulate_link("adaptive", TRACE, seed=5)
+    reference = PerFrameLinkEngine().simulate("adaptive", TRACE, seed=5)
     assert result == reference
     assert result.n_frames == len(TRACE)
 

@@ -223,14 +223,30 @@ def test_linklevel_table_and_json():
 
 
 def test_linklevel_reference_path_matches_batched():
+    """``repro linklevel --json`` equals the per-frame oracle engine run
+    point by point with the CLI's per-point seeds."""
     import json
 
-    args = ("linklevel", "--snr", "2,5", "--frames", "8", "--batch", "4",
-            "--strategies", "adaptive", "--users", "3", "--json")
-    code_a, batched = run_cli(*args)
-    code_b, reference = run_cli(*args, "--reference")
-    assert code_a == code_b == 0
-    assert json.loads(batched) == json.loads(reference)
+    import numpy as np
+    from oracles.link_engine import PerFrameLinkEngine
+
+    from repro.mccdma.engine import LinkEngineConfig
+    from repro.mccdma.transmitter import MCCDMAConfig
+
+    code, text = run_cli(
+        "linklevel", "--snr", "2,5", "--frames", "8", "--batch", "4",
+        "--strategies", "adaptive", "--users", "3", "--seed", "0", "--json",
+    )
+    assert code == 0
+    oracle = PerFrameLinkEngine(
+        MCCDMAConfig(user_codes=(0, 1, 2)), LinkEngineConfig(batch_frames=4)
+    )
+    expected = []
+    for i, snr_db in enumerate([2.0, 5.0]):
+        seed = np.random.SeedSequence(0, spawn_key=(i,))
+        result = oracle.simulate_point("adaptive", snr_db, 8, seed=seed)
+        expected.append({"snr_db": snr_db, **result.to_dict(), "ber": result.ber})
+    assert json.loads(text) == {"adaptive": expected}
 
 
 def test_linklevel_profile_shows_engine_events(tmp_path):
