@@ -11,8 +11,9 @@ This benchmark pins that contract down three ways:
 
 - a no-op ``span()`` round trip costs nanoseconds (microbenchmark);
 - a real workload — the batched link simulation — runs with the no-op
-  tracer and with a recording tracer; the *enabled* overhead is reported
-  and the disabled run must record zero spans and zero metrics;
+  tracer and with a recording tracer plus a telemetry hub; the *enabled*
+  overhead is reported and the disabled run must record zero spans and
+  zero metrics (a spy on every store recorder stays silent);
 - the disabled/enabled ratio is bounded: if the no-op path ever grows a
   hidden allocation, the ratio guard fails the build.
 
@@ -33,12 +34,13 @@ from conftest import write_bench_json
 from repro.mccdma.engine import LinkEngineConfig, LinkSimulationEngine
 from repro.mccdma.transmitter import MCCDMAConfig
 from repro.obs import (
-    MetricsRegistry,
     NOOP_TRACER,
+    Telemetry,
+    TimeSeriesStore,
     Tracer,
-    get_metrics,
+    get_telemetry,
     get_tracer,
-    use_metrics,
+    use_telemetry,
     use_tracer,
 )
 
@@ -90,21 +92,43 @@ def _time_link_point(repeats: int) -> float:
     return best
 
 
-def test_observability_overhead_guard():
+#: Every :class:`TimeSeriesStore` recorder; the disabled run may call none.
+STORE_RECORDERS = (
+    "counter_add",
+    "gauge_set",
+    "observe",
+    "counter_add_array",
+    "observe_array",
+    "gauge_add_array",
+    "defer_array",
+)
+
+
+def test_observability_overhead_guard(monkeypatch):
     assert not get_tracer().enabled, "benchmarks must start with tracing disabled"
+    assert get_telemetry() is None, "benchmarks must start with telemetry disabled"
 
     noop_span_ns = _time_noop_span_ns()
 
-    # Workload with the default no-op tracer: no spans may be recorded.
+    # Workload with the default no-op tracer and no hub: no spans and no
+    # metrics may be recorded.
+    store_calls = []
+    for name in STORE_RECORDERS:
+        monkeypatch.setattr(
+            TimeSeriesStore, name, lambda *a, _name=name, **k: store_calls.append(_name)
+        )
     disabled_s = _time_link_point(REPEATS)
+    monkeypatch.undo()
     assert not get_tracer().enabled
+    assert get_telemetry() is None
+    assert store_calls == [], f"disabled run recorded metrics: {store_calls}"
 
     tracer = Tracer()
-    registry = MetricsRegistry()
-    with use_tracer(tracer), use_metrics(registry):
+    hub = Telemetry()
+    with use_tracer(tracer), use_telemetry(hub):
         enabled_s = _time_link_point(REPEATS)
     assert tracer.spans, "enabled run must record spans"
-    assert registry.counter("link.frames_total").value > 0
+    assert hub.store("run").total("link.frames_total") > 0
 
     overhead_pct = 100.0 * (enabled_s - disabled_s) / disabled_s
     payload = {

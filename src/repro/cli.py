@@ -38,14 +38,15 @@ from repro.flows import (
     table1_report,
 )
 from repro.obs import (
-    MetricsRegistry,
+    Telemetry,
     Tracer,
     build_manifest,
+    get_telemetry,
     get_tracer,
     manifest_path_for,
     render_region_gantt,
     render_region_gantt_svg,
-    use_metrics,
+    use_telemetry,
     use_tracer,
     validate_trace_file,
     write_chrome_trace,
@@ -445,7 +446,7 @@ def _cmd_search(args, out) -> int:
     from repro.dfg.library import default_library
     from repro.fabric.device import device_by_name
     from repro.flows.designspace import search_multiregion
-    from repro.obs import get_metrics, record_search_stats
+    from repro.obs import record_search_stats
 
     try:
         device = device_by_name(args.device)
@@ -465,7 +466,9 @@ def _cmd_search(args, out) -> int:
         max_regions=args.max_regions,
         jobs=args.jobs,
     )
-    record_search_stats(get_metrics(), report.result)
+    hub = get_telemetry()
+    if hub is not None:
+        record_search_stats(hub.store("run"), report.result)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
     else:
@@ -512,7 +515,7 @@ def _redraw(out, text: str) -> None:
 
 def _cmd_fleet(args, out) -> int:
     """Multiplex a fleet of boards on one kernel; frontier across policies."""
-    from repro.obs import get_metrics, record_fleet_stats, spans_from_sim_trace
+    from repro.obs import record_fleet_stats, spans_from_sim_trace
     from repro.runtime import FleetConfig, generate_fleet_schedules, run_fleet
 
     tracer = get_tracer()
@@ -547,6 +550,8 @@ def _cmd_fleet(args, out) -> int:
 
         store = TimeSeriesStore(window=args.telemetry_window, clock="sim")
         monitor = SloMonitor(store, slo_rules)
+    hub = get_telemetry()
+    run_store = hub.store("run") if hub is not None else None
     breaches: list = []
     reports = {}
     for name in args.policy:
@@ -561,7 +566,8 @@ def _cmd_fleet(args, out) -> int:
                 tracer.add_spans(
                     spans_from_sim_trace(board_trace, parent=span.context)
                 )
-            record_fleet_stats(get_metrics(), report, prefix=f"fleet.{name}")
+        if run_store is not None:
+            record_fleet_stats(run_store, report, prefix=f"fleet.{name}")
         reports[name] = report
         if monitor is not None:
             breaches.extend(monitor.evaluate())
@@ -1048,28 +1054,29 @@ _COMMANDS = {
 
 
 def _run_traced(args, out, raw_argv: list[str]) -> int:
-    """Run the command inside a fresh tracer + metrics registry, then export.
+    """Run the command inside a fresh tracer + telemetry hub, then export.
 
-    The trace (Chrome trace-event JSON) and its run manifest (argv, git
-    revision, seed, metrics snapshot) are written even when the command
-    fails — a failing run is exactly the one worth inspecting.
+    The trace (Chrome trace-event JSON, with the hub's ``"run"`` totals as
+    counter tracks) and its run manifest (argv, git revision, seed, the
+    hub's telemetry rows) are written even when the command fails — a
+    failing run is exactly the one worth inspecting.
     """
     trace_path = pathlib.Path(args.trace)
     tracer = Tracer()
-    registry = MetricsRegistry()
+    hub = Telemetry()
     try:
-        with use_tracer(tracer), use_metrics(registry):
+        with use_tracer(tracer), use_telemetry(hub):
             code = _COMMANDS[args.command](args, out)
     finally:
         write_chrome_trace(
             trace_path, tracer.spans,
             metadata={"trace_id": tracer.trace_id, "command": args.command},
-            counters=registry,
+            counters=hub.store("run"),
         )
         manifest = build_manifest(
             argv=["repro", *raw_argv],
             seed=getattr(args, "seed", None),
-            metrics=registry.snapshot(),
+            metrics=hub.to_rows(),
             extra={"command": args.command, "trace_file": str(trace_path)},
         )
         manifest_path = write_manifest(manifest_path_for(trace_path), manifest)

@@ -60,8 +60,8 @@ from repro.exec.pool import PoolWorker, WorkerPool
 from repro.exec.worker import SweepJob, run_job
 from repro.flows.observe import FlowEvent, FlowObserver, LoggingObserver
 from repro.flows.pipeline import ArtifactCache
-from repro.obs import NOOP_TRACER, get_metrics, get_tracer
-from repro.obs.telemetry import get_telemetry
+from repro.obs import NOOP_TRACER, get_tracer
+from repro.obs.telemetry import TimeSeriesStore, get_telemetry
 
 __all__ = ["SweepJobResult", "SweepReport", "ParallelSweepEngine"]
 
@@ -579,7 +579,8 @@ class ParallelSweepEngine:
                 elif kind == "spans":
                     tracer.add_spans(message[2])
                 elif kind == "metrics":
-                    get_metrics().merge_snapshot(message[2])
+                    if hub is not None:
+                        hub.store("run").merge(TimeSeriesStore.from_rows(message[2]))
                 elif kind == "done":
                     _, job_id, payload, wall = message
                     entry = handle.queue.popleft()
@@ -667,9 +668,11 @@ class ParallelSweepEngine:
                 ("cache_lookups", report.cache_lookups()),
             ):
                 self._sweep_span.set_attribute(key, value)
-            registry = get_metrics()
-            registry.counter("sweep.jobs_total").inc(len(report.results))
-            registry.counter("sweep.jobs_failed").inc(len(report.failed))
+        hub = get_telemetry()
+        if hub is not None:
+            run_store = hub.store("run")
+            run_store.counter_add("sweep.jobs_total", 0, len(report.results))
+            run_store.counter_add("sweep.jobs_failed", 0, len(report.failed))
         self._sweep_span.end()
         report.events = list(self._events)
         return report

@@ -19,8 +19,9 @@ the pool survives.  The message protocol:
   ``("event", FlowEvent)`` for every pipeline stage event (streamed live so
   the engine's observer sees parallel stage traffic as it happens),
   ``("spans", job_id, [Span, ...])`` with the worker's finished trace spans
-  and ``("metrics", job_id, snapshot)`` with its metrics-registry snapshot
-  (both sent *before* the job outcome, so the engine always drains them),
+  and ``("metrics", job_id, rows)`` with the telemetry rows of its
+  ``"run"`` store (both sent *before* the job outcome, so the engine
+  always drains them),
   ``("done", job_id, payload, wall_time_s)`` on success and
   ``("fail", job_id, error, traceback, wall_time_s)`` on any exception.
 
@@ -64,7 +65,7 @@ from repro.flows.constraints import DynamicConstraints
 from repro.flows.flow import DesignFlow
 from repro.flows.observe import FlowEvent, FlowObserver
 from repro.flows.pipeline import ArtifactCache
-from repro.obs import MetricsRegistry, Tracer, set_metrics, set_tracer
+from repro.obs import Telemetry, Tracer, set_telemetry, set_tracer
 from repro.reconfig.architectures import ReconfigArchitecture
 
 __all__ = ["SweepJob", "run_job", "resolve_entrypoint", "worker_main"]
@@ -341,8 +342,8 @@ def worker_main(conn, worker_id: int, cache_dir: Optional[str]) -> None:
             conn.send(("started", job.job_id, attempt))
             job_span = None
             previous = None
-            previous_metrics = None
-            registry = None
+            previous_hub = None
+            hub = None
             if ctx is not None:
                 if tracer is None or tracer.trace_id != ctx.trace_id:
                     tracer = Tracer(
@@ -352,8 +353,8 @@ def worker_main(conn, worker_id: int, cache_dir: Optional[str]) -> None:
                         span_seq=span_seq,
                     )
                 previous = set_tracer(tracer)
-                registry = MetricsRegistry()
-                previous_metrics = set_metrics(registry)
+                hub = Telemetry()
+                previous_hub = set_telemetry(hub)
                 job_span = tracer.span(
                     f"attempt:{attempt}",
                     parent=ctx,
@@ -373,14 +374,14 @@ def worker_main(conn, worker_id: int, cache_dir: Optional[str]) -> None:
                     job_span.set_attribute("error", f"{type(error).__name__}: {error}")
                 job_span.end()
                 set_tracer(previous)
-                set_metrics(previous_metrics)
-                # Stream the finished spans and metrics *before* the outcome:
-                # once the engine records the last job result it stops
-                # draining pipes.
+                set_telemetry(previous_hub)
+                # Stream the finished spans and run totals *before* the
+                # outcome: once the engine records the last job result it
+                # stops draining pipes.
                 conn.send(("spans", job.job_id, list(tracer.spans)))
                 tracer.spans.clear()
-                if len(registry):
-                    conn.send(("metrics", job.job_id, registry.snapshot()))
+                if "run" in hub.domains():
+                    conn.send(("metrics", job.job_id, hub.store("run").to_rows()))
             if error is not None:
                 conn.send(
                     ("fail", job.job_id, f"{type(error).__name__}: {error}", error_tb, wall)

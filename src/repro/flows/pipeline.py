@@ -450,13 +450,17 @@ class FlowPipeline:
 
         When a recording tracer is installed (:func:`repro.obs.get_tracer`),
         the run becomes a ``flow:`` span with one ``stage:`` child span per
-        stage and the stage/cache traffic is counted into the ambient
-        metrics registry.  The :class:`FlowEvent` stream is unchanged either
-        way — tracing wraps the events, it never rewrites them.
+        stage; when a telemetry hub is installed
+        (:func:`repro.obs.get_telemetry`), the stage/cache traffic is
+        counted into its ``"run"`` domain.  The :class:`FlowEvent` stream is
+        unchanged either way — observation wraps the events, it never
+        rewrites them.
         """
-        from repro.obs import get_metrics, get_tracer
+        from repro.obs import get_telemetry, get_tracer, record_counts
 
         tracer = get_tracer()
+        hub = get_telemetry()
+        run_store = hub.store("run") if hub is not None else None
         artifacts: dict[str, Any] = {}
         with tracer.span(f"flow:{self.flow_name}"):
             for stage in self.stages:
@@ -488,15 +492,15 @@ class FlowPipeline:
                     stage_span.set_attribute("fingerprint", key[:16])
                     for name, value in event.metrics.items():
                         stage_span.set_attribute(f"metric.{name}", value)
-                    registry = get_metrics()
-                    registry.counter("flow.stages_total").inc()
-                    registry.counter(
-                        "flow.stage_cache_hits" if hit else "flow.stage_cache_misses"
-                    ).inc()
-                    registry.histogram("flow.stage_seconds").observe(wall_time_s)
+                if run_store is not None:
+                    run_store.counter_add("flow.stages_total", 0)
+                    run_store.counter_add(
+                        "flow.stage_cache_hits" if hit else "flow.stage_cache_misses", 0
+                    )
+                    run_store.observe("flow.stage_seconds", 0, wall_time_s)
                     # Numeric stage metrics (e.g. the adequation stages'
                     # SchedulerStats placement accounting) become counters.
-                    registry.record_counts(f"stage.{stage.name}", event.metrics)
+                    record_counts(run_store, f"stage.{stage.name}", event.metrics)
                 stage_span.end()
                 self.events.append(event)
                 self.observer.on_event(event)

@@ -16,7 +16,7 @@ from typing import Union
 
 from repro.executive.interpreter import ExecutionReport
 from repro.flows.flow import FlowResult
-from repro.obs import get_metrics, get_tracer, record_manager_stats, spans_from_sim_trace
+from repro.obs import get_telemetry, get_tracer, record_manager_stats, spans_from_sim_trace
 from repro.reconfig.eviction import EvictionPolicy
 from repro.reconfig.manager import ManagerStats
 from repro.reconfig.memory import BitstreamStore
@@ -166,7 +166,9 @@ class SystemSimulation:
                 "policy", getattr(self.policy, "name", type(self.policy).__name__)
             )
             tracer.add_spans(spans_from_sim_trace(trace, parent=rt_span.context))
-            record_manager_stats(get_metrics(), manager.stats)
+        hub = get_telemetry()
+        if hub is not None:
+            record_manager_stats(hub.store("run"), manager.stats)
         return RuntimeResult(
             execution=report,
             manager_stats=manager.stats,

@@ -5,30 +5,28 @@
   :class:`repro.sim.Span` becomes an :class:`repro.obs.Span` in the
   ``"sim"`` clock domain (virtual nanoseconds), parented under a given span
   context so runtime-simulation activity hangs off the flow/job that ran it.
-- ``record_*_stats`` feed the pre-existing counter bags —
-  :class:`~repro.aaa.scheduler.SchedulerStats`,
-  :class:`~repro.reconfig.manager.ManagerStats` (a.k.a. ``ReconfigStats``),
-  :class:`~repro.flows.pipeline.CacheStats` and the
-  :class:`~repro.executive.interpreter.FixedLatencyConfigService` counters —
-  into a :class:`~repro.obs.metrics.MetricsRegistry`.
+- :func:`record_counts` and the ``record_*_stats`` helpers built on it
+  feed counter bags — :class:`~repro.reconfig.manager.ManagerStats`
+  (a.k.a. ``ReconfigStats``), a fleet report's totals, a search result —
+  into a :class:`~repro.obs.telemetry.TimeSeriesStore` as run totals: one
+  counter per numeric field, recorded at ``t=0`` (the hub's ``"run"``
+  domain).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import TimeSeriesStore
 from repro.obs.tracer import Span, SpanContext, new_trace_id
 
 __all__ = [
     "spans_from_sim_trace",
     "record_trace_telemetry",
-    "record_scheduler_stats",
+    "record_counts",
     "record_manager_stats",
     "record_fleet_stats",
-    "record_cache_stats",
-    "record_config_service_stats",
     "record_search_stats",
 ]
 
@@ -121,25 +119,36 @@ def record_trace_telemetry(store, trace, **labels) -> int:
     return folded
 
 
-def record_scheduler_stats(registry: MetricsRegistry, stats, prefix: str = "scheduler") -> None:
-    """Feed :class:`~repro.aaa.scheduler.SchedulerStats` (or its dict) in."""
-    payload = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
-    registry.record_counts(prefix, payload)
+def record_counts(store: TimeSeriesStore, prefix: str, values: Mapping[str, object]) -> None:
+    """Bulk-add a stats mapping (e.g. a ``to_dict()`` of counters) as run totals.
+
+    Numeric values land on ``<prefix>.<key>`` counters at ``t=0``;
+    non-numeric and negative entries are skipped (rates and derived ratios
+    belong in the reader, not the store).  Zero values still create their
+    series: an explicit zero beats absence.
+    """
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        if value < 0:
+            continue
+        store.counter_add(f"{prefix}.{key}", 0, value)
 
 
-def record_manager_stats(registry: MetricsRegistry, stats, prefix: str = "reconfig") -> None:
+def record_manager_stats(store: TimeSeriesStore, stats, prefix: str = "reconfig") -> None:
     """Feed :class:`~repro.reconfig.manager.ManagerStats` counters in.
 
     ``to_dict`` is :func:`dataclasses.asdict`-backed, so new counters flow
-    into the registry without this bridge having to enumerate them.
+    into the store without this bridge having to enumerate them.
     """
-    registry.record_counts(prefix, stats.to_dict())
+    record_counts(store, prefix, stats.to_dict())
 
 
-def record_fleet_stats(registry: MetricsRegistry, report, prefix: str = "fleet") -> None:
+def record_fleet_stats(store: TimeSeriesStore, report, prefix: str = "fleet") -> None:
     """Feed a :class:`~repro.runtime.fleet.FleetReport`'s aggregate totals in."""
-    registry.record_counts(prefix, dict(report.totals))
-    registry.record_counts(
+    record_counts(store, prefix, dict(report.totals))
+    record_counts(
+        store,
         prefix,
         {
             "boards": report.n_boards,
@@ -149,41 +158,15 @@ def record_fleet_stats(registry: MetricsRegistry, report, prefix: str = "fleet")
     )
 
 
-def record_cache_stats(registry: MetricsRegistry, stats, prefix: str = "cache") -> None:
-    """Feed :class:`~repro.flows.pipeline.CacheStats` counters in."""
-    registry.record_counts(
-        prefix,
-        {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "stores": stats.stores,
-            "evictions": stats.evictions,
-            "corruptions": stats.corruptions,
-        },
-    )
-
-
-def record_config_service_stats(registry: MetricsRegistry, service, prefix: str = "configsvc") -> None:
-    """Feed :class:`~repro.executive.interpreter.FixedLatencyConfigService` counters in."""
-    registry.record_counts(
-        prefix,
-        {
-            "swap_count": service.swap_count,
-            "stall_ns": service.stall_ns,
-            "hints_seen": service.hints_seen,
-            "prefetch_starts": service.prefetch_starts,
-        },
-    )
-
-
-def record_search_stats(registry: MetricsRegistry, result, prefix: str = "search") -> None:
+def record_search_stats(store: TimeSeriesStore, result, prefix: str = "search") -> None:
     """Feed a :class:`~repro.search.anneal.SearchResult`'s counters in.
 
-    The driver already bumps the ambient ``search.*`` counters as it runs;
-    this records a *finished* result into an arbitrary registry (the traced
-    CLI path uses it so the manifest carries the run's totals).
+    The driver records per-evaluation series in the hub's ``"search"``
+    domain as it runs; this records a *finished* result's totals (the
+    traced CLI path uses it so the manifest carries them).
     """
-    registry.record_counts(
+    record_counts(
+        store,
         prefix,
         {
             "evaluations": result.evaluations,

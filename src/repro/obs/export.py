@@ -11,17 +11,16 @@ Three consumers of one span list:
   virtual-time (``clock="sim"``) spans are kept on separate process lanes:
   their clocks are unrelated, and Perfetto renders named lanes side by side.
   Numeric instruments ride along as ``"C"`` counter-track events:
-  :func:`counter_events_from_snapshot` stamps a
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshot (counters and gauges)
-  at one instant, and :func:`counter_events_from_store` unrolls a windowed
+  :func:`counter_events_from_store` unrolls a windowed
   :class:`~repro.obs.telemetry.TimeSeriesStore` into one counter sample per
-  window so hit rates and p99 latencies render as graphs under the span
-  lanes.  ``chrome_trace(..., counters=..., telemetry=...)`` folds both in.
+  window, so hit rates and p99 latencies render as graphs under the span
+  lanes and run totals (one window at ``t=0``) render as single samples.
+  ``chrome_trace(..., counters=..., telemetry=...)`` folds both in.
 - :func:`render_region_gantt` / :func:`render_region_gantt_svg` — the
   paper's Fig. 4 view: module residency per dynamic region over virtual
   time, with reconfiguration/prefetch intervals overlaid.
 - :func:`build_manifest` / :func:`write_manifest` — the run manifest
-  (argv, git revision, seed, metric snapshot) that makes a trace file
+  (argv, git revision, seed, telemetry rows) that makes a trace file
   self-describing.
 """
 
@@ -39,7 +38,6 @@ from repro.obs.tracer import Span
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
-    "counter_events_from_snapshot",
     "counter_events_from_store",
     "region_timeline",
     "render_region_gantt",
@@ -69,40 +67,6 @@ def _lane_maps(spans: Sequence[Span]) -> tuple[dict[str, int], dict[tuple[str, s
 def _process_label(span: Span) -> str:
     """Sim-domain spans get their own lane: the clocks are unrelated."""
     return span.process if span.clock == "wall" else f"{span.process} [sim time]"
-
-
-def _metrics_snapshot(registry_or_snapshot: Any) -> Mapping[str, Mapping]:
-    if hasattr(registry_or_snapshot, "snapshot"):
-        return registry_or_snapshot.snapshot()
-    return dict(registry_or_snapshot)
-
-
-def counter_events_from_snapshot(
-    registry_or_snapshot: Any, ts_us: float = 0.0, pid: int = 0
-) -> list[dict]:
-    """One ``"C"`` counter event per counter/gauge instrument, at one instant.
-
-    A registry snapshot is a point-in-time total, so each instrument gets a
-    single sample stamped at ``ts_us`` (callers usually pass the trace's end
-    time).  Histograms are skipped — a bucket vector is not a counter track.
-    """
-    snapshot = _metrics_snapshot(registry_or_snapshot)
-    events: list[dict] = []
-    for name in sorted(snapshot):
-        payload = snapshot[name]
-        if payload.get("type") not in ("counter", "gauge"):
-            continue
-        events.append(
-            {
-                "name": name,
-                "ph": "C",
-                "ts": ts_us,
-                "pid": pid,
-                "tid": 0,
-                "args": {"value": payload.get("value", 0)},
-            }
-        )
-    return events
 
 
 def counter_events_from_store(
@@ -171,11 +135,11 @@ def chrome_trace(
 ) -> dict:
     """The spans as a Chrome trace-event JSON object (Perfetto-loadable).
 
-    ``counters`` (a :class:`~repro.obs.metrics.MetricsRegistry` or its
-    snapshot) adds a ``metrics`` process lane of point-in-time counter
-    tracks stamped at the last wall-span end; ``telemetry`` (a sim-clock
-    :class:`~repro.obs.telemetry.TimeSeriesStore`) adds a windowed
-    ``telemetry [sim time]`` counter lane next to the sim span lanes.
+    ``counters`` (the hub's ``"run"``-domain
+    :class:`~repro.obs.telemetry.TimeSeriesStore` of run totals) adds a
+    ``metrics`` process lane of counter tracks; ``telemetry`` (a sim-clock
+    store) adds a windowed ``telemetry [sim time]`` counter lane next to
+    the sim span lanes.
     """
     pids, tids = _lane_maps(spans)
     wall_starts = [s.start_ns for s in spans if s.clock == "wall"]
@@ -225,12 +189,8 @@ def chrome_trace(
                 "args": args,
             }
         )
-    if counters is not None:
-        wall_ends = [s.end_ns for s in spans if s.clock == "wall"]
-        ts_us = (max(wall_ends) - wall_origin) / 1e3 if wall_ends else 0.0
-        events.extend(counter_events_from_snapshot(counters, ts_us=ts_us, pid=pids["metrics"]))
-    if telemetry is not None:
-        events.extend(counter_events_from_store(telemetry, pid=pids["telemetry [sim time]"]))
+    for label, source in counter_lanes:
+        events.extend(counter_events_from_store(source, pid=pids[label]))
     payload: dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
     if metadata:
         payload["metadata"] = dict(metadata)
@@ -398,17 +358,21 @@ def _git_revision() -> Optional[str]:
 def build_manifest(
     argv: Optional[Sequence[str]] = None,
     seed: Optional[int] = None,
-    metrics: Optional[Mapping[str, Any]] = None,
+    metrics: Optional[Sequence[Mapping[str, Any]]] = None,
     extra: Optional[Mapping[str, Any]] = None,
 ) -> dict:
-    """A JSON-safe description of the run that produced a trace."""
+    """A JSON-safe description of the run that produced a trace.
+
+    ``metrics`` is a list of telemetry rows (:meth:`Telemetry.to_rows`),
+    which :meth:`Telemetry.from_rows` turns back into stores.
+    """
     manifest: dict[str, Any] = {
         "argv": list(argv if argv is not None else sys.argv),
         "git_revision": _git_revision(),
         "python": sys.version.split()[0],
         "seed": seed,
         "created_unix_s": int(time.time()),
-        "metrics": dict(metrics) if metrics is not None else {},
+        "metrics": list(metrics) if metrics is not None else [],
     }
     if extra:
         manifest.update(extra)

@@ -17,20 +17,19 @@ the whole telemetry design:
   fleet's stall range (0 .. tens of ms in ns units) needs a few hundred
   buckets at the default 1% accuracy.
 
-:class:`ExactQuantiles` keeps every sample and answers the same quantile
-queries exactly.  It exists *only* as the reference the tests compare the
-sketch against (the declared bound is asserted property-style); production
-paths never instantiate it.
+The tests compare the sketch against an exact reference that keeps every
+sample (``tests/oracles/quantiles.py``); the declared bound is asserted
+property-style.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-__all__ = ["QuantileSketch", "ExactQuantiles", "DEFAULT_RELATIVE_ACCURACY"]
+__all__ = ["QuantileSketch", "DEFAULT_RELATIVE_ACCURACY"]
 
 #: 1% relative accuracy: p99 of a millisecond-scale stall is exact to ~10 us.
 DEFAULT_RELATIVE_ACCURACY = 0.01
@@ -144,9 +143,8 @@ class QuantileSketch:
         """The ``q``-quantile estimate (rank ``floor(q * (n - 1))``).
 
         Within ``alpha`` relative error of
-        ``sorted(values)[floor(q * (n - 1))]`` — the rank definition
-        :meth:`ExactQuantiles.quantile` uses, so the bound is testable
-        verbatim.  Returns 0.0 on an empty sketch.
+        ``sorted(values)[floor(q * (n - 1))]`` — the rank definition the
+        exact test reference uses, so the bound is testable verbatim.  Returns 0.0 on an empty sketch.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -233,33 +231,3 @@ class QuantileSketch:
     def __len__(self) -> int:
         return len(self._buckets) + (1 if self.zero_count else 0)
 
-
-class ExactQuantiles:
-    """Exact reference: stores every value (tests only, never production)."""
-
-    __slots__ = ("_values", "_sorted")
-
-    def __init__(self, values: Optional[Iterable[float]] = None):
-        self._values: list[float] = list(values) if values is not None else []
-        self._sorted = False
-
-    def add(self, value: Union[int, float], count: int = 1) -> None:
-        if value < 0.0:
-            raise ValueError(f"values must be >= 0, got {value}")
-        self._values.extend([float(value)] * count)
-        self._sorted = False
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    def quantile(self, q: float) -> float:
-        """``sorted(values)[floor(q * (n - 1))]`` — the sketch's rank model."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._values:
-            return 0.0
-        if not self._sorted:
-            self._values.sort()
-            self._sorted = True
-        return self._values[math.floor(q * (len(self._values) - 1))]

@@ -1,10 +1,12 @@
 """Streaming, dimensionally-labeled time-series telemetry.
 
-The metrics registry (:mod:`repro.obs.metrics`) answers *how much happened
-over the whole run*; this layer answers *how the run evolved* — hit rate
-per 50 ms of simulated time, p99 stall latency per window, worker-pool
-queue depth over the wall clock — at a memory cost bounded by the window
-count, not the event count.
+This layer holds every numeric instrument in the package.  It answers
+*how the run evolved* — hit rate per 50 ms of simulated time, p99 stall
+latency per window, worker-pool queue depth over the wall clock — at a
+memory cost bounded by the window count, not the event count.  Run
+totals (stage counts, link frames, sweep jobs, reconfiguration stats) are
+the degenerate case: the hub's ``"run"`` domain records them all at
+``t=0``, so they share one window.
 
 Three pieces:
 
@@ -28,7 +30,7 @@ Three pieces:
   domain), installable as the ambient telemetry hub
   (:func:`get_telemetry` / :func:`use_telemetry`).  The default ambient is
   ``None``: telemetry is strictly opt-in and instrumentation sites guard
-  with one ``is None`` check, so the disabled cost is a dict lookup.
+  with one ``is None`` check, so an untraced run records nothing.
 
 Label cardinality is the operator's responsibility: series are cheap per
 label *set*, so label by policy, region, pool or worker — never by request
@@ -563,7 +565,9 @@ class TimeSeriesStore:
         """Rebuild a store from :meth:`to_rows` output (tail/merge tooling).
 
         Rows with a newer schema than this code understands raise — a
-        silent partial read would render a misleading dashboard.
+        silent partial read would render a misleading dashboard.  So does
+        a second meta header: that is multi-store output such as
+        :meth:`Telemetry.to_rows`, which :meth:`Telemetry.from_rows` reads.
         """
         store: Optional[TimeSeriesStore] = None
         pending: list[Mapping] = []
@@ -583,6 +587,11 @@ class TimeSeriesStore:
                     f"{TELEMETRY_SCHEMA_VERSION}"
                 )
             if row.get("meta"):
+                if store is not None:
+                    raise ValueError(
+                        "second telemetry meta header: rows hold more than one "
+                        "store (read hub rows with Telemetry.from_rows)"
+                    )
                 store = ensure_store(row)
                 store.evicted_windows = int(row.get("evicted_windows", 0))
                 continue
@@ -837,6 +846,7 @@ DEFAULT_WINDOWS = {
     "sim": 50_000_000,      # 50 ms of simulated time
     "wall": 250_000_000,    # 250 ms of wall clock
     "search": 50,           # 50 evaluations
+    "run": 1,               # run totals, all recorded at t=0: one window
 }
 
 
@@ -877,6 +887,20 @@ class Telemetry:
                 row["domain"] = domain
                 rows.append(row)
         return rows
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Mapping]) -> "Telemetry":
+        """Rebuild a hub from :meth:`to_rows` output, one store per ``domain`` tag."""
+        by_domain: dict[str, list[Mapping]] = {}
+        for row in rows:
+            domain = row.get("domain")
+            if domain is None:
+                raise ValueError("telemetry hub row carries no domain tag")
+            by_domain.setdefault(str(domain), []).append(row)
+        hub = cls()
+        for domain, domain_rows in by_domain.items():
+            hub._stores[domain] = TimeSeriesStore.from_rows(domain_rows)
+        return hub
 
 
 _current_telemetry: Optional[Telemetry] = None

@@ -23,7 +23,7 @@ discrete-event runtime — so a single run produces a single tree of spans:
 The ambient tracer (:func:`get_tracer` / :func:`set_tracer` /
 :func:`use_tracer`) lets deep library code participate in a trace without
 threading a tracer argument through every signature.  The same pattern
-serves the metrics registry (:mod:`repro.obs.metrics`).
+serves the telemetry hub (:func:`repro.obs.telemetry.get_telemetry`).
 """
 
 from __future__ import annotations

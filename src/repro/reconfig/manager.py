@@ -93,7 +93,7 @@ COUNTER_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(ManagerStats))
 
 
 #: The reconfiguration-side stats bag under the name the observability layer
-#: uses for it (useful/wasted prefetch accounting feeds the metrics registry).
+#: uses for it (useful/wasted prefetch accounting feeds the run telemetry).
 ReconfigStats = ManagerStats
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.obs.telemetry import get_telemetry
 from repro.search.objective import CostBreakdown, CostEvaluator
 from repro.search.space import SearchSpace, SearchState
@@ -213,10 +213,6 @@ class _Run:
 
     def result(self) -> SearchResult:
         assert self.best_state is not None and self.best_cost is not None
-        metrics = get_metrics()
-        metrics.counter("search.evaluations").inc(self.evaluations)
-        metrics.counter("search.accepted").inc(self.accepted)
-        metrics.counter("search.improved").inc(self.improved)
         return SearchResult(
             method=self.method,
             best_state=self.best_state,

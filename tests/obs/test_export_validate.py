@@ -7,6 +7,7 @@ import pytest
 from repro.obs import (
     Span,
     SpanContext,
+    Telemetry,
     build_manifest,
     chrome_trace,
     manifest_path_for,
@@ -141,9 +142,11 @@ def test_gantt_svg_is_wellformed():
 
 
 def test_manifest_contents_and_sibling_path(tmp_path):
+    hub = Telemetry()
+    hub.store("run").counter_add("a", 0, 1)
     manifest = build_manifest(
         argv=["repro", "sweep"], seed=7,
-        metrics={"a": {"type": "counter", "value": 1}},
+        metrics=hub.to_rows(),
         extra={"command": "sweep"},
     )
     assert manifest["argv"] == ["repro", "sweep"]
@@ -155,22 +158,24 @@ def test_manifest_contents_and_sibling_path(tmp_path):
         "trace.manifest.json"
     )
     path = write_manifest(tmp_path / "run.manifest.json", manifest)
-    assert json.loads(path.read_text())["metrics"]["a"]["value"] == 1
+    rows = json.loads(path.read_text())["metrics"]
+    assert Telemetry.from_rows(rows).store("run").total("a") == 1
 
 
 # -- counter tracks ----------------------------------------------------------
 
 
-def test_counter_events_from_snapshot_samples_counters_and_gauges():
-    from repro.obs import MetricsRegistry, counter_events_from_snapshot
+def test_run_store_counter_events_sample_counters_and_gauges():
+    from repro.obs import counter_events_from_store
 
-    registry = MetricsRegistry()
-    registry.counter("jobs").inc(3)
-    registry.gauge("depth").set(2)
-    registry.histogram("t").observe(0.5)  # not a counter track
-    events = counter_events_from_snapshot(registry, ts_us=42.0, pid=7)
-    assert [e["name"] for e in events] == ["depth", "jobs"]
-    assert all(e["ph"] == "C" and e["ts"] == 42.0 and e["pid"] == 7 for e in events)
+    run = Telemetry().store("run")
+    run.counter_add("jobs", 0, 3)
+    run.gauge_set("depth", 0, 2)
+    run.observe("t", 0, 0.5)  # a sketch fans out into /count and quantile tracks
+    events = counter_events_from_store(run, pid=7, quantiles=(0.5,))
+    assert [e["name"] for e in events] == ["depth", "jobs", "t/count", "t/p50"]
+    # run totals live in the single window at t=0
+    assert all(e["ph"] == "C" and e["ts"] == 0.0 and e["pid"] == 7 for e in events)
     assert events[1]["args"] == {"value": 3}
 
 
@@ -202,21 +207,21 @@ def test_counter_events_from_store_unrolls_windows_and_quantiles():
 def test_chrome_trace_carries_counter_lanes_and_validates(tmp_path):
     import numpy as np
 
-    from repro.obs import MetricsRegistry, TimeSeriesStore
+    from repro.obs import TimeSeriesStore
 
-    registry = MetricsRegistry()
-    registry.counter("jobs").inc(1)
+    run = Telemetry().store("run")
+    run.counter_add("jobs", 0, 1)
     store = TimeSeriesStore(window=1_000)
     store.counter_add_array("fleet.demands", np.asarray([10, 2_000]), policy="lru")
-    payload = chrome_trace(_sample_spans(), counters=registry, telemetry=store)
+    payload = chrome_trace(_sample_spans(), counters=run, telemetry=store)
     counters = [e for e in payload["traceEvents"] if e["ph"] == "C"]
     assert {e["name"] for e in counters} >= {"jobs", "fleet.demands{policy=lru}"}
     lanes = {e["args"]["name"] for e in payload["traceEvents"]
              if e["ph"] == "M" and e["name"] == "process_name"}
-    assert "telemetry [sim time]" in lanes
+    assert {"metrics", "telemetry [sim time]"} <= lanes
     assert validate_chrome_trace(payload) == []
     path = tmp_path / "trace.json"
-    write_chrome_trace(path, _sample_spans(), counters=registry, telemetry=store)
+    write_chrome_trace(path, _sample_spans(), counters=run, telemetry=store)
     assert validate_trace_file(path) == []
 
 

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro.obs import (
-    CheckResult,
     HistoryEntry,
     append_from_result,
     backfill,

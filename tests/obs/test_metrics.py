@@ -1,165 +1,145 @@
-"""Metrics registry: instruments, snapshots, cross-process merging."""
+"""Run metrics: the telemetry hub's ``"run"`` domain.
+
+Run totals (stage counts, link frames, sweep jobs, reconfiguration stats)
+are ordinary :class:`TimeSeriesStore` series recorded at ``t=0``, so they
+share one window.  Sweep workers ship their run store as rows (the
+snapshot) and the engine folds the rebuilt store in with
+:meth:`TimeSeriesStore.merge`.
+"""
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    STAGE_SECONDS_BUCKETS,
-    get_metrics,
-    set_metrics,
-    use_metrics,
-)
+from repro.obs import Telemetry, TimeSeriesStore, record_counts
+
+
+def run_store() -> TimeSeriesStore:
+    return Telemetry().store("run")
+
+
+def snapshot(store: TimeSeriesStore) -> TimeSeriesStore:
+    """The pipe hop: rows out of one process, a rebuilt store in the other."""
+    return TimeSeriesStore.from_rows(store.to_rows())
 
 
 def test_counter_accumulates_and_rejects_negative():
-    registry = MetricsRegistry()
-    counter = registry.counter("jobs")
-    counter.inc()
-    counter.inc(4)
-    assert registry.counter("jobs") is counter  # get-or-create
-    assert counter.value == 5
+    store = run_store()
+    store.counter_add("jobs", 0)
+    store.counter_add("jobs", 0, 4)
+    assert store.total("jobs") == 5
+    assert store.window_indices() == [0]
     with pytest.raises(ValueError):
-        counter.inc(-1)
+        store.counter_add("jobs", 0, -1)
 
 
 def test_gauge_keeps_last_value():
-    registry = MetricsRegistry()
-    registry.gauge("depth").set(3)
-    registry.gauge("depth").set(1)
-    assert registry.gauge("depth").value == 1
-
-
-def test_histogram_buckets_and_overflow():
-    registry = MetricsRegistry()
-    hist = registry.histogram("t", boundaries=(1.0, 10.0))
-    for value in (0.5, 5.0, 100.0, 0.1):
-        hist.observe(value)
-    assert hist.counts == [2, 1, 1]
-    assert hist.total == 4
-    assert hist.sum == pytest.approx(105.6)
-    with pytest.raises(ValueError):
-        registry.histogram("bad", boundaries=(5.0, 1.0))
+    store = run_store()
+    store.gauge_set("depth", 0, 3)
+    store.gauge_set("depth", 0, 1)
+    assert store.value("depth", 0) == 1
 
 
 def test_kind_mismatch_raises():
-    registry = MetricsRegistry()
-    registry.counter("x")
+    store = run_store()
+    store.counter_add("x", 0)
     with pytest.raises(TypeError):
-        registry.gauge("x")
+        store.gauge_set("x", 0, 1)
 
 
 def test_record_counts_skips_non_numeric_and_negative():
-    registry = MetricsRegistry()
-    registry.record_counts("mgr", {"loads": 3, "name": "D1", "flag": True, "delta": -2})
-    snapshot = registry.snapshot()
-    assert list(snapshot) == ["mgr.loads"]
-    assert snapshot["mgr.loads"]["value"] == 3
+    store = run_store()
+    record_counts(store, "mgr", {"loads": 3, "name": "D1", "flag": True, "delta": -2})
+    assert store.series_names() == ["mgr.loads"]
+    assert store.total("mgr.loads") == 3
 
 
 def test_snapshot_is_sorted_and_typed():
-    registry = MetricsRegistry()
-    registry.gauge("b").set(2)
-    registry.counter("a").inc()
-    registry.histogram("c").observe(0.002)
-    snapshot = registry.snapshot()
-    assert list(snapshot) == ["a", "b", "c"]
-    assert snapshot["a"]["type"] == "counter"
-    assert snapshot["b"]["type"] == "gauge"
-    assert snapshot["c"]["boundaries"] == list(STAGE_SECONDS_BUCKETS)
+    store = run_store()
+    store.gauge_set("b", 0, 2)
+    store.counter_add("a", 0)
+    store.observe("c", 0, 0.002)
+    rows = [row for row in store.to_rows() if not row.get("meta")]
+    assert [row["name"] for row in rows] == ["a", "b", "c"]
+    assert [row["type"] for row in rows] == ["counter", "gauge", "quantile"]
+    assert rows[2]["sketch"]["count"] == 1
 
 
 def test_merge_snapshot_combines_all_kinds():
-    worker = MetricsRegistry()
-    worker.counter("jobs").inc(2)
-    worker.gauge("depth").set(7)
-    worker.histogram("t", boundaries=(1.0, 2.0)).observe(0.5)
-    main = MetricsRegistry()
-    main.counter("jobs").inc(1)
-    main.histogram("t", boundaries=(1.0, 2.0)).observe(0.7)
-    main.histogram("t", boundaries=(1.0, 2.0)).observe(1.5)
+    worker = run_store()
+    worker.counter_add("jobs", 0, 2)
+    worker.gauge_set("depth", 0, 7)
+    worker.observe("t", 0, 0.5)
+    main = run_store()
+    main.counter_add("jobs", 0, 1)
+    main.observe("t", 0, 0.7)
+    main.observe("t", 0, 1.5)
 
-    main.merge_snapshot(worker.snapshot())
-    assert main.counter("jobs").value == 3
-    assert main.gauge("depth").value == 7
-    hist = main.histogram("t", boundaries=(1.0, 2.0))
-    assert hist.counts == [2, 1, 0]
-    assert hist.total == 3
-    assert hist.sum == pytest.approx(2.7)
+    main.merge(snapshot(worker))
+    assert main.total("jobs") == 3
+    assert main.value("depth", 0) == 7
+    sketch = main.value("t", 0)
+    assert sketch.count == 3
+    assert sketch.sum == pytest.approx(2.7)
+    assert sketch.quantile(0.0) == pytest.approx(0.5, rel=0.02)
+    assert sketch.quantile(1.0) == pytest.approx(1.5, rel=0.02)
 
 
 def test_merge_snapshot_rejects_boundary_mismatch_and_unknown_type():
-    main = MetricsRegistry()
-    main.histogram("t", boundaries=(1.0, 2.0))
+    main = run_store()
     with pytest.raises(ValueError):
-        main.merge_snapshot(
-            {"t": {"type": "histogram", "boundaries": [5.0], "counts": [0, 0], "count": 0, "sum": 0.0}}
+        main.merge(TimeSeriesStore(window=50))
+    with pytest.raises(ValueError):
+        TimeSeriesStore.from_rows(
+            [{"schema": 1, "name": "x", "type": "meter", "window": 0, "value": 1}]
         )
-    with pytest.raises(ValueError):
-        main.merge_snapshot({"x": {"type": "meter", "value": 1}})
 
 
-def test_ambient_registry_scoping():
-    default = get_metrics()
-    with use_metrics() as registry:
-        assert get_metrics() is registry
-        assert registry is not default
-        registry.counter("scoped").inc()
-    assert get_metrics() is default
-    assert "scoped" not in get_metrics().snapshot()
-    previous = set_metrics(None)  # None installs a fresh registry
-    assert get_metrics() is not previous
-    set_metrics(default)
-
-
-def test_merge_snapshot_into_empty_registry_adopts_everything():
-    worker = MetricsRegistry()
-    worker.counter("jobs").inc(4)
-    worker.gauge("depth").set(2)
-    worker.histogram("t", boundaries=(1.0, 2.0)).observe(1.5)
-    empty = MetricsRegistry()
-    empty.merge_snapshot(worker.snapshot())
-    assert empty.snapshot() == worker.snapshot()
+def test_merge_snapshot_into_empty_store_adopts_everything():
+    worker = run_store()
+    worker.counter_add("jobs", 0, 4)
+    worker.gauge_set("depth", 0, 2)
+    worker.observe("t", 0, 1.5)
+    empty = run_store()
+    empty.merge(snapshot(worker))
+    assert empty.to_rows() == worker.to_rows()
     # and an empty snapshot folded in changes nothing
-    empty.merge_snapshot(MetricsRegistry().snapshot())
-    assert empty.snapshot() == worker.snapshot()
+    empty.merge(snapshot(run_store()))
+    assert empty.to_rows() == worker.to_rows()
 
 
 def test_merge_snapshot_is_associative_across_workers():
     def worker(jobs, depth, sample):
-        registry = MetricsRegistry()
-        registry.counter("jobs").inc(jobs)
-        registry.gauge("depth").set(depth)
-        registry.histogram("t", boundaries=(1.0, 2.0)).observe(sample)
-        return registry.snapshot()
+        store = run_store()
+        store.counter_add("jobs", 0, jobs)
+        store.gauge_set("depth", 0, depth)
+        store.observe("t", 0, sample)
+        return snapshot(store)
 
     a, b, c = worker(1, 5, 0.5), worker(2, 6, 1.5), worker(3, 7, 9.0)
 
-    left = MetricsRegistry()   # (a + b) + c
-    left.merge_snapshot(a)
-    left.merge_snapshot(b)
-    left.merge_snapshot(c)
+    left = run_store()   # (a + b) + c
+    left.merge(a)
+    left.merge(b)
+    left.merge(c)
 
-    inner = MetricsRegistry()  # a + (b + c)
-    inner.merge_snapshot(b)
-    inner.merge_snapshot(c)
-    right = MetricsRegistry()
-    right.merge_snapshot(a)
-    right.merge_snapshot(inner.snapshot())
+    inner = run_store()  # a + (b + c)
+    inner.merge(b)
+    inner.merge(c)
+    right = run_store()
+    right.merge(a)
+    right.merge(snapshot(inner))
 
-    # counters and histograms agree exactly; the gauge takes the last
+    # counters and sketches agree exactly; the gauge takes the last
     # value in merge order, which both orders share (c's)
-    assert left.snapshot() == right.snapshot()
+    assert left.to_rows() == right.to_rows()
 
 
-def test_merge_snapshot_disjoint_histogram_names_coexist():
-    main = MetricsRegistry()
-    main.histogram("coarse", boundaries=(10.0,)).observe(3.0)
-    other = MetricsRegistry()
-    other.histogram("fine", boundaries=(0.1, 1.0)).observe(0.5)
-    main.merge_snapshot(other.snapshot())
-    snapshot = main.snapshot()
-    # same registry, different names: each keeps its own boundaries
-    assert snapshot["coarse"]["boundaries"] == [10.0]
-    assert snapshot["fine"]["boundaries"] == [0.1, 1.0]
-    assert snapshot["coarse"]["counts"] == [1, 0]
-    assert snapshot["fine"]["counts"] == [0, 1, 0]
+def test_merge_snapshot_disjoint_quantile_names_coexist():
+    main = run_store()
+    main.observe("coarse", 0, 3.0)
+    other = run_store()
+    other.observe("fine", 0, 0.5)
+    other.observe("fine", 0, 0.25)
+    main.merge(snapshot(other))
+    assert main.series_names() == ["coarse", "fine"]
+    assert main.value("coarse", 0).count == 1
+    assert main.value("fine", 0).count == 2

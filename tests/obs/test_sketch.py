@@ -2,7 +2,7 @@
 
 The sketch promises ``quantile(q)`` within ``alpha`` *relative* error of
 ``sorted(values)[floor(q * (n - 1))]`` — exactly the rank model
-:class:`repro.obs.sketch.ExactQuantiles` implements, so the property is
+:class:`oracles.quantiles.ExactQuantiles` implements, so the property is
 tested verbatim against the reference on generated inputs.
 """
 
@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import DEFAULT_RELATIVE_ACCURACY, ExactQuantiles, QuantileSketch
+from oracles.quantiles import ExactQuantiles
+from repro.obs import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 
 QUANTILES = (0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0)
 

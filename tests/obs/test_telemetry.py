@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.obs import (
-    QuantileSketch,
     SloMonitor,
     SloRule,
     Telemetry,
@@ -316,6 +315,32 @@ def test_hub_rows_are_tagged_with_their_domain():
     hub.store("sim").counter_add("n", 0)
     domains = {row["domain"] for row in hub.to_rows()}
     assert domains == {"sim"}
+
+
+def _two_domain_hub() -> Telemetry:
+    hub = Telemetry()
+    hub.store("sim").counter_add("a", 0, 3)
+    hub.store("wall").counter_add("b", 0, 5)
+    return hub
+
+
+def test_hub_rows_rebuild_every_domain():
+    hub = _two_domain_hub()
+    rebuilt = Telemetry.from_rows(hub.to_rows())
+    assert rebuilt.domains() == ["sim", "wall"]
+    assert rebuilt.store("sim").series_names() == ["a"]
+    assert rebuilt.store("wall").total("b") == 5
+    assert rebuilt.store("wall").window == hub.store("wall").window
+    assert rebuilt.to_rows() == hub.to_rows()
+
+
+def test_store_from_rows_rejects_multi_store_rows():
+    # a single store cannot hold two domains: a second meta header used to
+    # replace the store being built and silently drop the first domain
+    with pytest.raises(ValueError, match="meta header"):
+        TimeSeriesStore.from_rows(_two_domain_hub().to_rows())
+    with pytest.raises(ValueError, match="domain"):
+        Telemetry.from_rows(_two_domain_hub().store("sim").to_rows())
 
 
 def test_use_telemetry_scopes_the_ambient_hub():

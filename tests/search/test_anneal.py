@@ -120,18 +120,17 @@ def test_summary_mentions_method_and_digest(space):
 
 
 def test_search_emits_spans_and_metrics(space):
-    from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+    from repro.obs import Tracer, use_telemetry, use_tracer
 
     tracer = Tracer()
-    registry = MetricsRegistry()
-    with use_tracer(tracer), use_metrics(registry):
+    with use_tracer(tracer), use_telemetry() as hub:
         run(space, budget=20, restarts=2)
     names = [s.name for s in tracer.spans]
     assert "search:anneal" in names
     assert names.count("search:restart") >= 1
-    snapshot = registry.snapshot()
-    assert snapshot["search.evaluations"]["value"] >= 1
-    assert "search.improved" in snapshot
+    search = hub.store("search")
+    assert search.total("search.evaluations", method="anneal") >= 1
+    assert "search.improved" in search.series_names()
 
 
 def test_greedy_never_worse_than_its_start(space):
@@ -141,11 +140,10 @@ def test_greedy_never_worse_than_its_start(space):
 
 
 def test_record_search_stats_bridge(space):
-    from repro.obs import MetricsRegistry, record_search_stats
+    from repro.obs import Telemetry, record_search_stats
 
-    registry = MetricsRegistry()
+    store = Telemetry().store("run")
     result = run(space, budget=20)
-    record_search_stats(registry, result)
-    snapshot = registry.snapshot()
-    assert snapshot["search.evaluations"]["value"] == result.evaluations
-    assert snapshot["search.best_total_ns"]["value"] == result.best_cost.total_ns
+    record_search_stats(store, result)
+    assert store.total("search.evaluations") == result.evaluations
+    assert store.total("search.best_total_ns") == result.best_cost.total_ns

@@ -271,7 +271,7 @@ def test_linklevel_bad_grid_and_strategy_are_clean_errors():
 def test_trace_flag_writes_chrome_trace_and_manifest(tmp_path):
     import json
 
-    from repro.obs import validate_trace_file
+    from repro.obs import Telemetry, validate_trace_file
 
     trace_path = tmp_path / "run.json"
     code, text = run_cli("--trace", str(trace_path), "flow")
@@ -285,7 +285,8 @@ def test_trace_flag_writes_chrome_trace_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "run.manifest.json").read_text())
     assert manifest["command"] == "flow"
     assert manifest["argv"][0] == "repro"
-    assert "flow.stages_total" in manifest["metrics"]
+    run = Telemetry.from_rows(manifest["metrics"]).store("run")
+    assert "flow.stages_total" in run.series_names()
 
 
 def test_trace_command_runs_sim_and_renders_gantt(tmp_path):
@@ -320,7 +321,7 @@ def test_trace_check_mode(tmp_path):
 def test_traced_sweep_contains_worker_and_reconfig_spans(tmp_path):
     import json
 
-    from repro.obs import validate_trace_file
+    from repro.obs import Telemetry, validate_trace_file
 
     trace_path = tmp_path / "sweep.json"
     code, text = run_cli(
@@ -342,7 +343,8 @@ def test_traced_sweep_contains_worker_and_reconfig_spans(tmp_path):
     kinds = {e["name"].split(":")[0] for e in events}
     assert "load" in kinds and "resident" in kinds
     manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
-    assert "reconfig.demand_requests" in manifest["metrics"]
+    run = Telemetry.from_rows(manifest["metrics"]).store("run")
+    assert "reconfig.demand_requests" in run.series_names()
 
 
 # -- fleet command ----------------------------------------------------------
@@ -457,7 +459,7 @@ def test_search_rejects_unknown_device():
 def test_search_traced_writes_trace_and_manifest(tmp_path):
     import json
 
-    from repro.obs import validate_trace_file
+    from repro.obs import Telemetry, validate_trace_file
 
     trace_path = tmp_path / "search.json"
     code, text = run_cli(
@@ -468,7 +470,8 @@ def test_search_traced_writes_trace_and_manifest(tmp_path):
     names = {e["name"] for e in json.loads(trace_path.read_text())["traceEvents"]}
     assert "search:anneal" in names
     manifest = json.loads((tmp_path / "search.manifest.json").read_text())
-    assert manifest["metrics"]["search.evaluations"]["value"] >= 15
+    run = Telemetry.from_rows(manifest["metrics"]).store("run")
+    assert run.total("search.evaluations") >= 15
 
 
 # -- fleet telemetry / dashboard / tail / bench-check ------------------------
