@@ -14,8 +14,9 @@ import sys
 
 import pytest
 
-from repro.flows import DesignFlow, RecordingObserver, parse_constraints
+from repro.flows import DesignFlow, parse_constraints
 from repro.mccdma.casestudy import build_mccdma_design
+from repro.obs import Tracer, use_tracer
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -25,9 +26,9 @@ _TESTS = str(pathlib.Path(__file__).resolve().parent.parent / "tests")
 if _TESTS not in sys.path:
     sys.path.insert(0, _TESTS)
 
-#: Every flow built through :func:`build_case_study_flow` reports its stage
-#: events here; the session teardown aggregates them into BENCH_flow_stages.json.
-STAGE_EVENTS = RecordingObserver()
+#: Every flow built through :func:`build_case_study_flow` records its stage
+#: spans here; the session teardown aggregates them into BENCH_flow_stages.json.
+STAGE_SPANS = Tracer()
 
 CASE_STUDY_CONSTRAINTS = """
 [module mod_qpsk]
@@ -82,9 +83,10 @@ def build_case_study_flow(prefetch: bool = True, reconfig_architecture=None):
     )
     if reconfig_architecture is not None:
         kwargs["reconfig_architecture"] = reconfig_architecture
-    flow = DesignFlow.from_design(design, observer=STAGE_EVENTS, **kwargs)
+    flow = DesignFlow.from_design(design, **kwargs)
     flow.mapping.pin("bit_src", "DSP").pin("select", "DSP")
-    return design, flow.run()
+    with use_tracer(STAGE_SPANS):
+        return design, flow.run()
 
 
 @pytest.fixture(scope="session")
@@ -101,15 +103,17 @@ def _write_stage_timings():
     session, how often the artifact cache served it, and the wall time —
     the flow-profiling counterpart of the pytest-benchmark numbers."""
     yield
-    if not STAGE_EVENTS.events:
+    spans = [s for s in STAGE_SPANS.spans if s.name.startswith("stage:")]
+    if not spans:
         return
     stages: dict[str, dict] = {}
-    for event in STAGE_EVENTS.events:
+    for span in spans:
         row = stages.setdefault(
-            event.stage, {"executions": 0, "cache_hits": 0, "total_s": 0.0}
+            span.name.removeprefix("stage:"),
+            {"executions": 0, "cache_hits": 0, "total_s": 0.0},
         )
-        row["cache_hits" if event.cache_hit else "executions"] += 1
-        row["total_s"] += event.wall_time_s
+        row["cache_hits" if span.attributes["cache_hit"] else "executions"] += 1
+        row["total_s"] += span.duration_ns / 1e9
     for row in stages.values():
         runs = row["executions"] + row["cache_hits"]
         row["mean_s"] = row["total_s"] / runs if runs else 0.0

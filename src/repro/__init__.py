@@ -29,9 +29,11 @@ Quickstart::
     result = flow.run()
     print(result.report())
 
-Library code never writes to stdout: flow progress goes to the standard
-``logging`` channel ``repro.flows`` (silent by default — configure logging
-or pass a :class:`repro.flows.FlowObserver` to see it).
+Library code never writes to stdout.  To see what a run did, install a
+recording tracer: every flow stage, sweep job and link batch becomes a span
+(``with repro.obs.use_tracer(repro.obs.Tracer()) as tracer: ...``, then
+``repro.obs.render_profile(tracer.spans)``).  The CLI's ``--profile``,
+``--log-json`` and ``--trace`` flags render the same spans.
 """
 
 import logging as _logging

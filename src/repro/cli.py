@@ -23,20 +23,11 @@ import dataclasses
 import json
 import pathlib
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from typing import Optional, Sequence
 
 from repro.codegen.testbench import generate_all_testbenches
-from repro.flows import (
-    CompositeObserver,
-    DesignFlow,
-    JsonLinesObserver,
-    RecordingObserver,
-    SystemSimulation,
-    parse_constraints,
-    render_profile,
-    table1_report,
-)
+from repro.flows import DesignFlow, SystemSimulation, parse_constraints, table1_report
 from repro.obs import (
     Telemetry,
     Tracer,
@@ -44,6 +35,7 @@ from repro.obs import (
     get_telemetry,
     get_tracer,
     manifest_path_for,
+    render_profile,
     render_region_gantt,
     render_region_gantt_svg,
     use_telemetry,
@@ -119,29 +111,18 @@ def _policy_list(value: str) -> list[str]:
 
 def _run_flow(args) -> "tuple":
     design = build_mccdma_design()
-    log_json = getattr(args, "log_json", None)
-    with ExitStack() as stack:
-        observer = stack.enter_context(JsonLinesObserver(log_json)) if log_json else None
-        flow = DesignFlow.from_design(
-            design,
-            dynamic_constraints=parse_constraints(CASE_STUDY_CONSTRAINTS),
-            reconfig_architecture=_ARCHITECTURES[args.architecture](),
-            prefetch=not getattr(args, "reactive", False),
-            observer=observer,
-        )
-        flow.mapping.pin("bit_src", "DSP").pin("select", "DSP")
-        return design, flow.run()
-
-
-def _maybe_profile(args, result, out) -> None:
-    """Print the per-stage profile table when ``--profile`` was given."""
-    if getattr(args, "profile", False):
-        print(render_profile(result.events), file=out)
+    flow = DesignFlow.from_design(
+        design,
+        dynamic_constraints=parse_constraints(CASE_STUDY_CONSTRAINTS),
+        reconfig_architecture=_ARCHITECTURES[args.architecture](),
+        prefetch=not getattr(args, "reactive", False),
+    )
+    flow.mapping.pin("bit_src", "DSP").pin("select", "DSP")
+    return design, flow.run()
 
 
 def _cmd_flow(args, out) -> int:
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
     if getattr(args, "json", False):
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True), file=out)
     else:
@@ -151,14 +132,12 @@ def _cmd_flow(args, out) -> int:
 
 def _cmd_table1(args, out) -> int:
     design, result = _run_flow(args)
-    _maybe_profile(args, result, out)
     print(table1_report(design.library, flow=result), file=out)
     return 0
 
 
 def _cmd_macrocode(args, out) -> int:
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
     print(result.executive.render(), file=out)
     return 0
 
@@ -193,7 +172,6 @@ def _cmd_export(args, out) -> int:
     from repro.flows.export import export_build_directory
 
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
     written = export_build_directory(result, args.out)
     for path in written:
         print(f"wrote {path}", file=out)
@@ -203,7 +181,6 @@ def _cmd_export(args, out) -> int:
 
 def _cmd_vhdl(args, out) -> int:
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
     target = pathlib.Path(args.out)
     target.mkdir(parents=True, exist_ok=True)
     files = dict(result.generated.files)
@@ -261,22 +238,14 @@ def _cmd_sweep(args, out) -> int:
             )
             for job in jobs
         ]
-    log_json = getattr(args, "log_json", None)
-    with ExitStack() as stack:
-        observer = stack.enter_context(JsonLinesObserver(log_json)) if log_json else None
-        engine = stack.enter_context(
-            ParallelSweepEngine(
-                jobs=args.jobs,
-                timeout_s=args.timeout,
-                retries=args.retries,
-                cache_dir=args.cache_dir,
-                observer=observer,
-                sweep_name=f"designspace:{design.graph.name}",
-            )
-        )
+    with ParallelSweepEngine(
+        jobs=args.jobs,
+        timeout_s=args.timeout,
+        retries=args.retries,
+        cache_dir=args.cache_dir,
+        sweep_name=f"designspace:{design.graph.name}",
+    ) as engine:
         report = engine.run(jobs)
-    if getattr(args, "profile", False):
-        print(render_profile(report.events, aggregate=True), file=out)
     if args.json:
         payload = report.to_dict()
         payload["points"] = [
@@ -302,7 +271,6 @@ def _make_snr(pattern: str, n: int):
 
 def _cmd_simulate(args, out) -> int:
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
     snr = _make_snr(args.pattern, args.iterations)
     state = make_case_study_bindings(snr, seed=args.seed)
     runtime = SystemSimulation(
@@ -355,19 +323,11 @@ def _cmd_linklevel(args, out) -> int:
     if unknown:
         print(f"error: unknown strategy(ies) {', '.join(unknown)}", file=out)
         return 2
-    recorder = RecordingObserver() if getattr(args, "profile", False) else None
-    log_json = getattr(args, "log_json", None)
     report: dict[str, list[dict]] = {}
     with ExitStack() as stack:
-        json_sink = stack.enter_context(JsonLinesObserver(log_json)) if log_json else None
-        sinks = [o for o in (recorder, json_sink) if o]
-        observer = None
-        if sinks:
-            observer = sinks[0] if len(sinks) == 1 else CompositeObserver(*sinks)
         engine = LinkSimulationEngine(
             config=MCCDMAConfig(user_codes=tuple(range(args.users))),
             engine=LinkEngineConfig(batch_frames=args.batch, ci_halfwidth=args.ci_halfwidth),
-            observer=observer,
         )
         pool = None
         if args.jobs > 0 and len(strategies) > 1:
@@ -385,8 +345,6 @@ def _cmd_linklevel(args, out) -> int:
                 {"snr_db": snr, **result.to_dict(), "ber": result.ber}
                 for snr, result in zip(snr_points, results)
             ]
-    if recorder is not None:
-        print(render_profile(recorder.events), file=out)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True), file=out)
     else:
@@ -418,7 +376,6 @@ def _cmd_trace(args, out) -> int:
         print(f"{args.check}: OK", file=out)
         return 0
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
     snr = _make_snr(args.pattern, args.iterations)
     state = make_case_study_bindings(snr, seed=args.seed)
     runtime = SystemSimulation(
@@ -519,12 +476,14 @@ def _cmd_fleet(args, out) -> int:
     from repro.runtime import FleetConfig, generate_fleet_schedules, run_fleet
 
     tracer = get_tracer()
-    # When tracing, record a few boards' full kernel traces so Perfetto
+    # Under --trace, record a few boards' full kernel traces so Perfetto
     # shows one lane per board; tracing the whole fleet would dominate RAM
     # (traced boards run through the reference kernel under either engine).
+    # Keyed on the flag, not the tracer: --profile/--log-json also record
+    # spans but must not change which engine runs the boards.
     trace_boards = args.trace_boards
     if trace_boards is None:
-        trace_boards = 3 if tracer.enabled else 0
+        trace_boards = 3 if args.trace else 0
     base = FleetConfig(
         n_boards=args.boards,
         requests_per_board=args.requests,
@@ -709,11 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="print the per-stage pipeline profile (wall time, cache hits) before the output",
+        help="print the span profile (per-stage wall time, cache hits) after the output",
     )
     parser.add_argument(
         "--log-json", metavar="PATH", default=None,
-        help="append one JSON line per pipeline stage event to PATH",
+        help="append one JSON line per recorded span (stage, batch, job) to PATH",
     )
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -1053,47 +1012,61 @@ _COMMANDS = {
 }
 
 
-def _run_traced(args, out, raw_argv: list[str]) -> int:
-    """Run the command inside a fresh tracer + telemetry hub, then export.
+def _run_observed(args, out, raw_argv: list[str]) -> int:
+    """Run the command under one recording tracer, then render its spans.
 
-    The trace (Chrome trace-event JSON, with the hub's ``"run"`` totals as
-    counter tracks) and its run manifest (argv, git revision, seed, the
-    hub's telemetry rows) are written even when the command fails — a
-    failing run is exactly the one worth inspecting.
+    ``--trace`` also installs a telemetry hub and writes the Chrome trace
+    (with the hub's ``"run"`` totals as counter tracks) and its run
+    manifest (argv, git revision, seed, the hub's telemetry rows);
+    ``--log-json`` appends one :meth:`~repro.obs.Span.to_dict` JSON line
+    per span; ``--profile`` prints the span profile after the command's
+    output.  All of them happen even when the command fails — a failing
+    run is exactly the one worth inspecting.
     """
-    trace_path = pathlib.Path(args.trace)
     tracer = Tracer()
-    hub = Telemetry()
+    hub = Telemetry() if args.trace else None
     try:
-        with use_tracer(tracer), use_telemetry(hub):
-            code = _COMMANDS[args.command](args, out)
+        with use_tracer(tracer), (use_telemetry(hub) if hub is not None else nullcontext()):
+            return _COMMANDS[args.command](args, out)
     finally:
-        write_chrome_trace(
-            trace_path, tracer.spans,
-            metadata={"trace_id": tracer.trace_id, "command": args.command},
-            counters=hub.store("run"),
-        )
-        manifest = build_manifest(
-            argv=["repro", *raw_argv],
-            seed=getattr(args, "seed", None),
-            metrics=hub.to_rows(),
-            extra={"command": args.command, "trace_file": str(trace_path)},
-        )
-        manifest_path = write_manifest(manifest_path_for(trace_path), manifest)
-        print(
-            f"wrote trace {trace_path} ({len(tracer.spans)} spans) "
-            f"and manifest {manifest_path}",
-            file=out,
-        )
-    return code
+        if args.trace:
+            trace_path = pathlib.Path(args.trace)
+            write_chrome_trace(
+                trace_path, tracer.spans,
+                metadata={"trace_id": tracer.trace_id, "command": args.command},
+                counters=hub.store("run"),
+            )
+            manifest = build_manifest(
+                argv=["repro", *raw_argv],
+                seed=getattr(args, "seed", None),
+                metrics=hub.to_rows(),
+                extra={"command": args.command, "trace_file": str(trace_path)},
+            )
+            manifest_path = write_manifest(manifest_path_for(trace_path), manifest)
+            print(
+                f"wrote trace {trace_path} ({len(tracer.spans)} spans) "
+                f"and manifest {manifest_path}",
+                file=out,
+            )
+        if args.log_json:
+            log_path = pathlib.Path(args.log_json)
+            log_path.parent.mkdir(parents=True, exist_ok=True)
+            with log_path.open("a", encoding="utf-8") as log:
+                for span in tracer.spans:
+                    log.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
+        if args.profile:
+            # A sweep replays the same stages per job: one row per stage name.
+            print(render_profile(tracer.spans, aggregate=args.command == "sweep"), file=out)
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     stream = out if out is not None else sys.stdout
-    if getattr(args, "trace", None) and not getattr(args, "check", None):
+    if getattr(args, "check", None):  # ``trace --check`` only reads a file
+        args.trace = None
+    if args.trace or args.profile or args.log_json:
         raw_argv = list(argv) if argv is not None else list(sys.argv[1:])
-        return _run_traced(args, stream, raw_argv)
+        return _run_observed(args, stream, raw_argv)
     return _COMMANDS[args.command](args, stream)
 
 

@@ -5,13 +5,13 @@ multi-process workload: picklable :class:`~repro.exec.worker.SweepJob`
 records are sharded across spawn workers by the
 :class:`~repro.exec.engine.ParallelSweepEngine`, all sharing one on-disk
 :class:`~repro.flows.pipeline.ArtifactCache` made safe for concurrency by
-the primitives in :mod:`repro.exec.locks`.  Progress streams back through
-:mod:`repro.exec.events` into the ordinary flow-observer layer.
+the primitives in :mod:`repro.exec.locks`.  The engine records its
+progress as :mod:`repro.exec.events` lifecycle records; under a tracer,
+the workers' spans join the caller's trace.
 
 - :mod:`repro.exec.locks` — advisory file locks + atomic write-rename
   (imported by :mod:`repro.flows.pipeline`; no ``repro`` dependencies);
-- :mod:`repro.exec.events` — :class:`SweepEvent` lifecycle records that
-  convert to :class:`~repro.flows.observe.FlowEvent`;
+- :mod:`repro.exec.events` — :class:`SweepEvent` lifecycle records;
 - :mod:`repro.exec.worker` — the worker process loop and the picklable job
   description;
 - :mod:`repro.exec.pool` — the persistent :class:`WorkerPool` of warm,

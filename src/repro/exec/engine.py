@@ -21,7 +21,8 @@ The engine owns the scheduler:
   job without a round-trip and a 10k-job grid amortizes pipe latency while
   committing at most ``prefetch_depth`` jobs to any one worker;
 - **per-job timeout** — the clock starts when the worker *starts* the job
-  (its ``started`` message), not at dispatch; a worker that exceeds
+  (its ``started`` message), not at dispatch, and a fresh worker's imports
+  never count against its first job; a worker that exceeds
   ``timeout_s`` is killed and replaced into the warm pool, failing only
   the running job's attempt — its queued-but-unstarted jobs re-enter the
   pending deque with **no attempt consumed**;
@@ -32,11 +33,12 @@ The engine owns the scheduler:
   it was running; the sweep always completes and reports partial results,
   and the pool stays warm (dead workers are respawned).
 
-Every worker streams its pipeline stage events and job lifecycle messages
-back over its result pipe; the engine forwards them (and its own
-:class:`~repro.exec.events.SweepEvent` records) to one
-:class:`~repro.flows.observe.FlowObserver`, so ``--profile`` and
-``--log-json`` cover parallel runs exactly as they cover serial ones.
+The engine records each lifecycle step as a
+:class:`~repro.exec.events.SweepEvent` in :attr:`SweepReport.events`.
+Under a recording tracer, every worker also ships its finished spans (its
+``attempt:`` span and the flow's ``stage:`` spans beneath it) back over its
+result pipe, so ``--trace``, ``--profile`` and ``--log-json`` cover
+parallel runs exactly as they cover serial ones.
 
 Worker pipes are deliberately one-per-worker (no shared queue): killing a
 hung worker can then never corrupt or deadlock a lock shared with its
@@ -58,12 +60,16 @@ from typing import Any, Optional, Sequence
 from repro.exec.events import SweepEvent
 from repro.exec.pool import PoolWorker, WorkerPool
 from repro.exec.worker import SweepJob, run_job
-from repro.flows.observe import FlowEvent, FlowObserver, LoggingObserver
 from repro.flows.pipeline import ArtifactCache
 from repro.obs import NOOP_TRACER, get_tracer
 from repro.obs.telemetry import TimeSeriesStore, get_telemetry
 
 __all__ = ["SweepJobResult", "SweepReport", "ParallelSweepEngine"]
+
+#: How long a job may wait at the head of a worker that has not finished
+#: its imports (when that is longer than the job timeout) before the
+#: worker counts as wedged and is killed like a hung one.
+_SPAWN_GRACE_S = 60.0
 
 
 @dataclass
@@ -95,9 +101,8 @@ class SweepReport:
     sweep: str
     results: list[SweepJobResult]
     wall_time_s: float
-    #: Every FlowEvent the engine forwarded: worker stage events plus the
-    #: engine's own ``sweep:*`` lifecycle events, in arrival order.
-    events: list[FlowEvent] = field(default_factory=list)
+    #: The engine's lifecycle events, in the order they happened.
+    events: list[SweepEvent] = field(default_factory=list)
 
     @property
     def succeeded(self) -> list[SweepJobResult]:
@@ -107,15 +112,12 @@ class SweepReport:
     def failed(self) -> list[SweepJobResult]:
         return [r for r in self.results if not r.ok]
 
-    def stage_events(self) -> list[FlowEvent]:
-        """The per-stage pipeline events (cache traffic) of all workers."""
-        return [e for e in self.events if not e.stage.startswith("sweep:")]
-
     def cache_hits(self) -> int:
-        return sum(1 for e in self.stage_events() if e.cache_hit)
+        """Artifact-cache hits of the successful jobs (0 for non-flow jobs)."""
+        return sum(r.payload.get("cache_hits", 0) for r in self.succeeded)
 
     def cache_lookups(self) -> int:
-        return len(self.stage_events())
+        return sum(r.payload.get("cache_lookups", 0) for r in self.succeeded)
 
     def cache_hit_rate(self) -> float:
         lookups = self.cache_lookups()
@@ -157,15 +159,20 @@ class _InFlight:
         self.attempt = attempt
         self.span = span
         #: monotonic time this entry reached the *front* of its worker's
-        #: queue (the worker is about to start it); the provisional
-        #: timeout clock until ``started`` arrives.
+        #: queue (the worker is about to start it), reset when a fresh
+        #: worker reports ready; the provisional timeout clock until
+        #: ``started`` arrives.
         self.head_since = head_since
         self.started_at: Optional[float] = None
 
-    def deadline(self, timeout_s: Optional[float]) -> Optional[float]:
+    def deadline(self, timeout_s: Optional[float], worker_ready: bool) -> Optional[float]:
         if timeout_s is None:
             return None
-        return (self.started_at if self.started_at is not None else self.head_since) + timeout_s
+        if self.started_at is not None:
+            return self.started_at + timeout_s
+        if worker_ready:
+            return self.head_since + timeout_s
+        return self.head_since + max(timeout_s, _SPAWN_GRACE_S)
 
 
 class ParallelSweepEngine:
@@ -192,7 +199,6 @@ class ParallelSweepEngine:
         retries: int = 1,
         backoff_s: float = 0.05,
         cache_dir: Optional[str | Path] = None,
-        observer: Optional[FlowObserver] = None,
         sweep_name: str = "sweep",
         pool: Optional[WorkerPool] = None,
         prefetch_depth: int = 2,
@@ -212,10 +218,9 @@ class ParallelSweepEngine:
         self.retries = retries
         self.backoff_s = backoff_s
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.observer = observer if observer is not None else LoggingObserver()
         self.sweep_name = sweep_name
         self.prefetch_depth = prefetch_depth
-        self._events: list[FlowEvent] = []
+        self._events: list[SweepEvent] = []
         self._sweep_span = NOOP_TRACER.span("sweep")
         self._pool = pool
         self._owns_pool = False
@@ -259,12 +264,8 @@ class ParallelSweepEngine:
 
     # -- event plumbing ---------------------------------------------------------
 
-    def _emit_flow(self, event: FlowEvent) -> None:
-        self._events.append(event)
-        self.observer.on_event(event)
-
     def _emit(self, kind: str, **kwargs) -> None:
-        self._emit_flow(SweepEvent(kind=kind, sweep=self.sweep_name, **kwargs).to_flow_event())
+        self._events.append(SweepEvent(kind=kind, sweep=self.sweep_name, **kwargs))
 
     # -- serial fallback --------------------------------------------------------
 
@@ -289,7 +290,7 @@ class ParallelSweepEngine:
                     ) as job_span:
                         if tracer.enabled:
                             job_span.set_attribute("attempt", attempt)
-                        payload = run_job(job, attempt=attempt, cache=cache, observer=self)
+                        payload = run_job(job, attempt=attempt, cache=cache)
                 except Exception as err:
                     wall = perf_counter() - started
                     last_error = f"{type(err).__name__}: {err}"
@@ -316,10 +317,6 @@ class ParallelSweepEngine:
                 )
                 break
         return self._finish(jobs, {r.job_id: r for r in results}, sweep_started)
-
-    def on_event(self, event: FlowEvent) -> None:
-        """FlowObserver protocol: the serial path forwards stage events here."""
-        self._emit_flow(event)
 
     # -- the parallel scheduler -------------------------------------------------
 
@@ -526,7 +523,7 @@ class ParallelSweepEngine:
             wake_times = []
             for handle in pool.alive:
                 if handle.queue:
-                    deadline = handle.queue[0].deadline(self.timeout_s)
+                    deadline = handle.queue[0].deadline(self.timeout_s, handle.ready)
                     if deadline is not None:
                         wake_times.append(deadline)
             if backoff:
@@ -565,6 +562,8 @@ class ParallelSweepEngine:
                 kind = message[0]
                 if kind == "ready":
                     handle.ready = True
+                    if handle.queue:  # its head job's clock starts now
+                        handle.queue[0].head_since = monotonic()
                     continue
                 if kind == "started":
                     _, job_id, attempt = message
@@ -574,8 +573,6 @@ class ParallelSweepEngine:
                         "job_started", job=job_id,
                         worker=handle.worker_id, attempt=attempt,
                     )
-                elif kind == "event":
-                    self._emit_flow(message[1])
                 elif kind == "spans":
                     tracer.add_spans(message[2])
                 elif kind == "metrics":
@@ -622,7 +619,7 @@ class ParallelSweepEngine:
                 if not handle.queue:
                     continue
                 head = handle.queue[0]
-                deadline = head.deadline(self.timeout_s)
+                deadline = head.deadline(self.timeout_s, handle.ready)
                 if deadline is not None and now >= deadline:
                     wall = now - (head.started_at if head.started_at is not None
                                   else head.head_since)
@@ -647,26 +644,17 @@ class ParallelSweepEngine:
             sweep=self.sweep_name,
             results=ordered,
             wall_time_s=perf_counter() - sweep_started,
-            events=list(self._events),
+            events=self._events,  # sweep_completed below lands in it too
         )
-        self._emit(
-            "sweep_completed",
-            wall_time_s=report.wall_time_s,
-            metrics={
-                "jobs": len(report.results),
-                "failed": len(report.failed),
-                "cache_hits": report.cache_hits(),
-                "cache_lookups": report.cache_lookups(),
-            },
-        )
-        tracer = get_tracer()
-        if tracer.enabled:
-            for key, value in (
-                ("jobs", len(report.results)),
-                ("failed", len(report.failed)),
-                ("cache_hits", report.cache_hits()),
-                ("cache_lookups", report.cache_lookups()),
-            ):
+        totals = {
+            "jobs": len(report.results),
+            "failed": len(report.failed),
+            "cache_hits": report.cache_hits(),
+            "cache_lookups": report.cache_lookups(),
+        }
+        self._emit("sweep_completed", wall_time_s=report.wall_time_s, metrics=totals)
+        if get_tracer().enabled:
+            for key, value in totals.items():
                 self._sweep_span.set_attribute(key, value)
         hub = get_telemetry()
         if hub is not None:
@@ -674,5 +662,4 @@ class ParallelSweepEngine:
             run_store.counter_add("sweep.jobs_total", 0, len(report.results))
             run_store.counter_add("sweep.jobs_failed", 0, len(report.failed))
         self._sweep_span.end()
-        report.events = list(self._events)
         return report

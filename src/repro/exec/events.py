@@ -1,26 +1,18 @@
-"""Structured sweep-engine events, bridged into the flow-observer layer.
+"""Structured sweep-engine lifecycle events.
 
 The :class:`~repro.exec.engine.ParallelSweepEngine` narrates a sweep with
 :class:`SweepEvent` records: one per job lifecycle step (dispatched,
 started, finished, retried, timed out, failed), per worker lifecycle step
-(spawned, crashed, stopped) and one summary when the sweep completes.
-
-Rather than inventing a second observer protocol, every ``SweepEvent``
-converts to a :class:`~repro.flows.observe.FlowEvent` (stage name
-``sweep:<kind>``) via :meth:`SweepEvent.to_flow_event`, so the existing
-sinks — ``JsonLinesObserver`` for ``--log-json``, ``RecordingObserver`` for
-tests, ``render_profile`` for ``--profile`` — cover parallel runs with no
-changes.  Worker processes additionally stream the ordinary per-stage
-``FlowEvent`` records of their pipelines back to the engine, which forwards
-them to the same observer.
+(spawned, crashed, stopped) and one summary when the sweep completes.  The
+engine keeps them in :attr:`~repro.exec.engine.SweepReport.events`; timing
+and cache traffic are recorded as spans (``sweep:``, ``job:``,
+``attempt:`` and the workers' ``stage:`` spans) when a tracer is installed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
-
-from repro.flows.observe import FlowEvent
 
 __all__ = ["SweepEvent", "SWEEP_EVENT_KINDS"]
 
@@ -58,21 +50,3 @@ class SweepEvent:
     def __post_init__(self) -> None:
         if self.kind not in SWEEP_EVENT_KINDS:
             raise ValueError(f"unknown sweep event kind {self.kind!r}")
-
-    def to_flow_event(self) -> FlowEvent:
-        """The observer-layer rendering of this event."""
-        metrics = dict(self.metrics)
-        if self.worker is not None:
-            metrics.setdefault("worker", self.worker)
-        if self.attempt:
-            metrics.setdefault("attempt", self.attempt)
-        if self.detail:
-            metrics.setdefault("detail", self.detail)
-        return FlowEvent(
-            flow=f"{self.sweep}/{self.job}" if self.job else self.sweep,
-            stage=f"sweep:{self.kind}",
-            cache_hit=False,
-            wall_time_s=self.wall_time_s,
-            fingerprint="",
-            metrics=metrics,
-        )

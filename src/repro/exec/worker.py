@@ -16,8 +16,6 @@ the pool survives.  The message protocol:
 - worker → engine: ``("ready", worker_id)`` once imports complete,
   ``("started", job_id, attempt)`` when a job begins (the engine starts the
   job's timeout clock here, not at dispatch — a queued job is not running),
-  ``("event", FlowEvent)`` for every pipeline stage event (streamed live so
-  the engine's observer sees parallel stage traffic as it happens),
   ``("spans", job_id, [Span, ...])`` with the worker's finished trace spans
   and ``("metrics", job_id, rows)`` with the telemetry rows of its
   ``"run"`` store (both sent *before* the job outcome, so the engine
@@ -63,8 +61,7 @@ from repro.fabric.device import VirtexIIDevice
 from repro.fabric.floorplan import FloorplanError
 from repro.flows.constraints import DynamicConstraints
 from repro.flows.flow import DesignFlow
-from repro.flows.observe import FlowEvent, FlowObserver
-from repro.flows.pipeline import ArtifactCache
+from repro.flows.pipeline import ArtifactCache, CacheStats
 from repro.obs import Telemetry, Tracer, set_telemetry, set_tracer
 from repro.reconfig.architectures import ReconfigArchitecture
 
@@ -160,28 +157,26 @@ def build_board(job: SweepJob) -> Board:
 
 
 def run_job(
-    job: SweepJob,
-    attempt: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    observer: Optional[FlowObserver] = None,
+    job: SweepJob, attempt: int = 1, cache: Optional[ArtifactCache] = None
 ) -> dict[str, Any]:
     """Evaluate one design point; returns a JSON-safe result payload.
 
     A floorplanning failure is a *result* (``fits: false``), not an error —
     matching :func:`repro.flows.designspace.explore_design_space`.  Any
     other exception propagates to the caller (the worker loop reports it to
-    the engine, which retries or records the failure).
+    the engine, which retries or records the failure).  The payload's
+    ``cache_hits``/``cache_lookups`` are this job's share of the artifact
+    cache's traffic (the :class:`CacheStats` delta over its flow run).
 
     Jobs other than :class:`SweepJob` may plug into the sweep machinery by
-    exposing ``job_id`` plus an ``execute(attempt=, cache=, observer=)``
-    method returning the payload (e.g.
-    :class:`repro.mccdma.engine.LinkPointJob`); ``fault`` is honoured for
-    them too when present.
+    exposing ``job_id`` plus an ``execute(attempt=, cache=)`` method
+    returning the payload (e.g. :class:`repro.mccdma.engine.LinkPointJob`);
+    ``fault`` is honoured for them too when present.
     """
     _apply_fault(getattr(job, "fault", None), attempt)
     execute = getattr(job, "execute", None)
     if execute is not None:
-        return execute(attempt=attempt, cache=cache, observer=observer)
+        return execute(attempt=attempt, cache=cache)
     flow = DesignFlow(
         graph=job.graph,
         board=build_board(job),
@@ -191,7 +186,6 @@ def run_job(
         prefetch=job.prefetch,
         iteration_deadline_ns=job.iteration_deadline_ns,
         cache=cache,
-        observer=observer,
     )
     for operation, operator in job.pins:
         flow.mapping.pin(operation, operator)
@@ -200,10 +194,15 @@ def run_job(
         "device": job.device.name,
         "architecture": job.architecture.name,
     }
+    stats = cache.stats if cache is not None else CacheStats()
+    hits, lookups = stats.hits, stats.lookups
     try:
         result = flow.run()
     except FloorplanError as err:
+        result = None
         payload.update({"fits": False, "error": str(err)})
+    payload.update(cache_hits=stats.hits - hits, cache_lookups=stats.lookups - lookups)
+    if result is None:
         return payload
     regions = result.modular.floorplan.placements
     payload.update(
@@ -218,7 +217,6 @@ def run_job(
             "clock_mhz": result.modular.par_report.clock_mhz,
             "makespan_ns": result.makespan_ns,
             "first_pass_makespan_ns": result.first_pass_makespan_ns,
-            "cache_stats": cache.stats.to_dict() if cache is not None else None,
         }
     )
     if job.simulate_iterations > 0:
@@ -276,23 +274,6 @@ def _simulate_runtime(job: SweepJob, result) -> dict[str, Any]:
     }
 
 
-@dataclass
-class _PipeObserver:
-    """Streams each pipeline stage event back to the engine live.
-
-    Send-only: nothing is retained worker-side, so a long-lived pool
-    worker's memory footprint stays flat across thousands of jobs.
-    """
-
-    conn: Any
-
-    def on_event(self, event: FlowEvent) -> None:
-        try:
-            self.conn.send(("event", event))
-        except (BrokenPipeError, OSError):  # engine went away; keep computing
-            pass
-
-
 def worker_main(conn, worker_id: int, cache_dir: Optional[str]) -> None:
     """Process entrypoint: serve job batches from ``conn`` until ``stop``/EOF.
 
@@ -308,7 +289,6 @@ def worker_main(conn, worker_id: int, cache_dir: Optional[str]) -> None:
     slow job cannot strand a long tail behind it).
     """
     cache = ArtifactCache(disk_dir=cache_dir) if cache_dir else ArtifactCache()
-    observer = _PipeObserver(conn)
     #: One span-id counter for the worker's whole life: each traced run
     #: gets a fresh tracer (runs carry distinct trace ids) but the counter
     #: carries over, so ``w<id>-N`` ids never repeat across runs.
@@ -364,7 +344,7 @@ def worker_main(conn, worker_id: int, cache_dir: Optional[str]) -> None:
             error_tb = ""
             payload = None
             try:
-                payload = run_job(job, attempt=attempt, cache=cache, observer=observer)
+                payload = run_job(job, attempt=attempt, cache=cache)
             except Exception as err:  # reported to the engine, never fatal here
                 error = err
                 error_tb = traceback.format_exc()

@@ -11,7 +11,6 @@ reconfiguration manager).
 - :mod:`repro.flows.pipeline` — staged pipeline with content-addressed
   artefact caching (fingerprints, :class:`ArtifactCache`, :class:`Stage`,
   :class:`FlowPipeline`),
-- :mod:`repro.flows.observe` — per-stage flow events and observer sinks,
 - :mod:`repro.flows.flow` — the complete design flow (a façade over the
   pipeline),
 - :mod:`repro.flows.runtime` — runtime system simulation,
@@ -25,15 +24,6 @@ from repro.flows.constraints import (
     parse_constraints,
 )
 from repro.flows.modular import ModularDesignResult, run_modular_backend
-from repro.flows.observe import (
-    CompositeObserver,
-    FlowEvent,
-    FlowObserver,
-    JsonLinesObserver,
-    LoggingObserver,
-    RecordingObserver,
-    render_profile,
-)
 from repro.flows.pipeline import ArtifactCache, CacheStats, FlowPipeline, Stage, fingerprint
 from repro.flows.flow import STAGE_NAMES, DesignFlow, FlowResult, TimingConstraintError
 from repro.flows.runtime import RuntimeResult, SystemSimulation
@@ -54,13 +44,6 @@ __all__ = [
     "parse_constraints",
     "ModularDesignResult",
     "run_modular_backend",
-    "FlowEvent",
-    "FlowObserver",
-    "LoggingObserver",
-    "JsonLinesObserver",
-    "RecordingObserver",
-    "CompositeObserver",
-    "render_profile",
     "ArtifactCache",
     "CacheStats",
     "FlowPipeline",

@@ -18,9 +18,10 @@ Since the staged-pipeline refactor this class is a thin façade over
 :class:`~repro.flows.pipeline.FlowPipeline`: each stage is content-addressed
 by a fingerprint of its inputs (chained through its upstream stages), so a
 flow given a shared :class:`~repro.flows.pipeline.ArtifactCache` re-executes
-only the stages whose inputs actually changed, and every stage reports to a
-pluggable :class:`~repro.flows.observe.FlowObserver`.  The public API is
-unchanged — ``DesignFlow(...).run() -> FlowResult``.
+only the stages whose inputs actually changed, and ``FlowResult.stages``
+records which stages the cache served.  Under a recording tracer each stage
+is also a ``stage:`` span.  The public API is unchanged —
+``DesignFlow(...).run() -> FlowResult``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.executive.generator import generate_executive
 from repro.executive.macrocode import ExecutiveProgram
 from repro.flows.constraints import DynamicConstraints
 from repro.flows.modular import ModularDesignResult, run_modular_backend
-from repro.flows.observe import FlowEvent, FlowObserver
 from repro.flows.pipeline import (
     ArtifactCache,
     FlowPipeline,
@@ -102,8 +102,9 @@ class FlowResult:
     first_pass_makespan_ns: int
     dynamic_constraints: Optional[DynamicConstraints] = None
     iteration_deadline_ns: Optional[int] = None
-    #: Per-stage pipeline events of the run that produced this result.
-    events: list[FlowEvent] = field(default_factory=list)
+    #: Per-stage record of the run that produced this result, in stage
+    #: order: ``{"stage", "cache_hit", "fingerprint"}`` dicts.
+    stages: list[dict] = field(default_factory=list)
 
     @property
     def meets_deadline(self) -> bool:
@@ -151,7 +152,7 @@ class FlowResult:
 
         Carries everything external tooling usually scrapes from the text
         report — makespans, per-region geometry/latency, the generated file
-        list — plus the per-stage pipeline events."""
+        list — plus the per-stage cache record."""
         regions = sorted(self.modular.floorplan.placements)
         return {
             "graph": self.graph.name,
@@ -178,7 +179,7 @@ class FlowResult:
             "startup_modules": self.startup_modules(),
             "generated_files": self.generated.file_names(),
             "executive_operators": sorted(self.executive.operator_code),
-            "stages": [event.to_dict() for event in self.events],
+            "stages": [dict(stage) for stage in self.stages],
         }
 
 
@@ -203,8 +204,6 @@ class DesignFlow:
     #: fields are deliberately not part of any fingerprint: they gate the
     #: result, they do not change the artefacts.
     cache: Optional[ArtifactCache] = None
-    #: Stage-event sink; defaults to the ``repro.flows`` logging channel.
-    observer: Optional[FlowObserver] = None
 
     @classmethod
     def from_design(cls, design, **overrides) -> "DesignFlow":
@@ -240,7 +239,7 @@ class DesignFlow:
         return {}
 
     def build_pipeline(self) -> FlowPipeline:
-        """The six Fig. 3 stages wired through the cache and observer.
+        """The six Fig. 3 stages wired through the cache.
 
         Call :meth:`run` unless you need stage-level control.  Dynamic
         constraints must already be applied to ``self.mapping`` (``run``
@@ -381,12 +380,7 @@ class DesignFlow:
                 lambda p: {"operators": len(p.operator_code)},
             ),
         ]
-        return FlowPipeline(
-            stages,
-            cache=self.cache,
-            observer=self.observer,
-            flow_name=f"{graph.name}@{board.name}",
-        )
+        return FlowPipeline(stages, cache=self.cache, flow_name=f"{graph.name}@{board.name}")
 
     # -- the flow --------------------------------------------------------------------
 
@@ -415,7 +409,10 @@ class DesignFlow:
             first_pass_makespan_ns=first.makespan_ns,
             dynamic_constraints=self.dynamic_constraints,
             iteration_deadline_ns=self.iteration_deadline_ns,
-            events=list(pipeline.events),
+            stages=[
+                {"stage": name, "cache_hit": hit, "fingerprint": pipeline.keys[name]}
+                for name, hit in pipeline.cache_hits.items()
+            ],
         )
 
     def _fpga_device(self):

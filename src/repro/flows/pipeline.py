@@ -12,7 +12,8 @@ gives it a first-class representation:
 - :class:`ArtifactCache` is a content-addressed store (in-memory LRU with an
   optional on-disk pickle tier) keyed by those digests.
 - :class:`Stage` + :class:`FlowPipeline` run a sequence of stages through
-  the cache, emitting one :class:`~repro.flows.observe.FlowEvent` per stage.
+  the cache, recording each stage's key and cache hit (and, when a tracer
+  is installed, one ``stage:`` span per stage).
 
 Stage keys are *derivation keys*: each stage's key digests its own direct
 inputs plus the keys of the upstream stages it consumes, so any upstream
@@ -40,7 +41,6 @@ from repro.arch.graph import ArchitectureGraph
 from repro.dfg.graph import AlgorithmGraph
 from repro.dfg.library import OperationLibrary
 from repro.fabric.device import VirtexIIDevice
-from repro.flows.observe import FlowEvent, FlowObserver, LoggingObserver
 
 __all__ = [
     "fingerprint",
@@ -408,8 +408,9 @@ class Stage:
     ``key`` and ``execute`` both receive the mapping of upstream artefacts
     (stage name → artefact), so a stage's derivation key can chain on its
     predecessors' keys and its body can consume their results.  ``metrics``
-    optionally extracts a small JSON-safe summary from the artefact for the
-    stage's :class:`~repro.flows.observe.FlowEvent`.
+    optionally extracts a small JSON-safe summary from the artefact; it
+    becomes the stage span's ``metric.*`` attributes and, under a telemetry
+    hub, ``stage.<name>.*`` run counters.
     """
 
     name: str
@@ -422,17 +423,15 @@ class FlowPipeline:
     """Run stages in order through an (optional) content-addressed cache.
 
     Each stage computes its derivation key, consults the cache, executes on
-    a miss, stores the artefact, and emits a :class:`FlowEvent` to the
-    observer.  With no cache every stage executes; with no observer events
-    go to the default :class:`~repro.flows.observe.LoggingObserver` (silent
-    unless the application configures logging).
+    a miss and stores the artefact.  ``keys`` and ``cache_hits`` map each
+    stage that ran to its key and to whether the cache served it; with no
+    cache every stage executes.
     """
 
     def __init__(
         self,
         stages: Sequence[Stage],
         cache: Optional[ArtifactCache] = None,
-        observer: Optional[FlowObserver] = None,
         flow_name: str = "flow",
     ):
         names = [s.name for s in stages]
@@ -440,21 +439,19 @@ class FlowPipeline:
             raise ValueError(f"duplicate stage names: {names}")
         self.stages = list(stages)
         self.cache = cache
-        self.observer = observer if observer is not None else LoggingObserver()
         self.flow_name = flow_name
-        self.events: list[FlowEvent] = []
         self.keys: dict[str, str] = {}
+        self.cache_hits: dict[str, bool] = {}
 
     def run(self) -> dict[str, Any]:
         """Execute every stage; returns stage name → artefact.
 
         When a recording tracer is installed (:func:`repro.obs.get_tracer`),
         the run becomes a ``flow:`` span with one ``stage:`` child span per
-        stage; when a telemetry hub is installed
+        stage, carrying ``flow``, ``cache_hit``, ``fingerprint`` and the
+        stage's ``metric.*`` attributes; when a telemetry hub is installed
         (:func:`repro.obs.get_telemetry`), the stage/cache traffic is
-        counted into its ``"run"`` domain.  The :class:`FlowEvent` stream is
-        unchanged either way — observation wraps the events, it never
-        rewrites them.
+        counted into its ``"run"`` domain.
         """
         from repro.obs import get_telemetry, get_tracer, record_counts
 
@@ -477,20 +474,17 @@ class FlowPipeline:
                         artifact = self.cache.put(key, artifact)
                 artifacts[stage.name] = artifact
                 self.keys[stage.name] = key
+                self.cache_hits[stage.name] = hit
                 wall_time_s = perf_counter() - started
-                event = FlowEvent(
-                    flow=self.flow_name,
-                    stage=stage.name,
-                    cache_hit=hit,
-                    wall_time_s=wall_time_s,
-                    fingerprint=key,
-                    metrics=dict(stage.metrics(artifact)) if stage.metrics is not None else {},
+                observed = tracer.enabled or run_store is not None
+                metrics = (
+                    stage.metrics(artifact) if observed and stage.metrics is not None else {}
                 )
                 if tracer.enabled:
                     stage_span.set_attribute("flow", self.flow_name)
                     stage_span.set_attribute("cache_hit", hit)
                     stage_span.set_attribute("fingerprint", key[:16])
-                    for name, value in event.metrics.items():
+                    for name, value in metrics.items():
                         stage_span.set_attribute(f"metric.{name}", value)
                 if run_store is not None:
                     run_store.counter_add("flow.stages_total", 0)
@@ -500,8 +494,6 @@ class FlowPipeline:
                     run_store.observe("flow.stage_seconds", 0, wall_time_s)
                     # Numeric stage metrics (e.g. the adequation stages'
                     # SchedulerStats placement accounting) become counters.
-                    record_counts(run_store, f"stage.{stage.name}", event.metrics)
+                    record_counts(run_store, f"stage.{stage.name}", metrics)
                 stage_span.end()
-                self.events.append(event)
-                self.observer.on_event(event)
         return artifacts

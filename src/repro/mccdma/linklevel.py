@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.flows.observe import FlowObserver
 from repro.mccdma.engine import LinkEngineConfig, LinkResult, LinkSimulationEngine
 from repro.mccdma.transmitter import MCCDMAConfig
 
@@ -30,7 +29,6 @@ def simulate_link(
     threshold_db: float = 2.0,
     hysteresis_db: float = 1.0,
     batch_frames: int = 64,
-    observer: Optional[FlowObserver] = None,
 ) -> LinkResult:
     """Transmit one frame per SNR-trace entry; returns aggregate stats.
 
@@ -52,7 +50,6 @@ def simulate_link(
     engine = LinkSimulationEngine(
         config=config,
         engine=LinkEngineConfig(batch_frames=batch_frames),
-        observer=observer,
         threshold_db=threshold_db,
         hysteresis_db=hysteresis_db,
     )
@@ -64,14 +61,12 @@ def adaptive_vs_fixed(
     seed: int = 0,
     threshold_db: float = 2.0,
     hysteresis_db: float = 1.0,
-    observer: Optional[FlowObserver] = None,
 ) -> dict[str, LinkResult]:
     """All three strategies over the same channel realization."""
     return {
         strategy: simulate_link(
             strategy, snr_trace_db, seed=seed,
             threshold_db=threshold_db, hysteresis_db=hysteresis_db,
-            observer=observer,
         )
         for strategy in ("qpsk", "qam16", "adaptive")
     }

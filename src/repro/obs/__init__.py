@@ -32,8 +32,9 @@ package gives them one vocabulary with two ambients: spans for *when*
   store.
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable,
   including ``ph:"C"`` counter tracks unrolled from telemetry stores), the
-  Fig. 4 per-region residency Gantt (text and SVG) and run manifests whose
-  ``metrics`` block is the hub's telemetry rows.
+  Fig. 4 per-region residency Gantt (text and SVG), the ``--profile``
+  table (:func:`render_profile`) and run manifests whose ``metrics`` block
+  is the hub's telemetry rows.
 - :mod:`repro.obs.validate` — the trace-schema validator CI gates on.
 - :mod:`repro.obs.history` — benchmark headline history
   (``benchmarks/results/HISTORY.jsonl``) and the :func:`bench_check`
@@ -67,6 +68,7 @@ from repro.obs.export import (
     manifest_path_for,
     region_timeline,
     render_region_gantt,
+    render_profile,
     render_region_gantt_svg,
     write_chrome_trace,
     write_manifest,
@@ -119,6 +121,7 @@ __all__ = [
     "region_timeline",
     "render_region_gantt",
     "render_region_gantt_svg",
+    "render_profile",
     "write_chrome_trace",
     "write_manifest",
     "validate_chrome_trace",

@@ -1,6 +1,6 @@
 """Trace exporters: Chrome trace-event JSON, Gantt views, run manifests.
 
-Three consumers of one span list:
+Four consumers of one span list:
 
 - :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event JSON format (``chrome://tracing`` and https://ui.perfetto.dev
@@ -19,6 +19,9 @@ Three consumers of one span list:
 - :func:`render_region_gantt` / :func:`render_region_gantt_svg` — the
   paper's Fig. 4 view: module residency per dynamic region over virtual
   time, with reconfiguration/prefetch intervals overlaid.
+- :func:`render_profile` — the CLI's ``--profile`` table: one row per
+  wall-clock span (stage, cache hit/miss, time, fingerprint, attributes),
+  or one row per span name with ``aggregate=True``.
 - :func:`build_manifest` / :func:`write_manifest` — the run manifest
   (argv, git revision, seed, telemetry rows) that makes a trace file
   self-describing.
@@ -42,6 +45,7 @@ __all__ = [
     "region_timeline",
     "render_region_gantt",
     "render_region_gantt_svg",
+    "render_profile",
     "build_manifest",
     "write_manifest",
     "manifest_path_for",
@@ -338,6 +342,99 @@ def render_region_gantt_svg(spans: Sequence[Span], width_px: int = 900, row_px: 
     parts.append(f'<text x="4" y="{legend_y + 11}">t_end={t_end}ns</text>')
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+# -- the per-span profile table ----------------------------------------------------
+
+#: Span attributes with a profile column of their own (not listed as metrics).
+_PROFILE_COLUMNS = frozenset({"flow", "cache_hit", "fingerprint"})
+
+
+def _profile_label(span: Span) -> str:
+    return span.name.removeprefix("stage:")
+
+
+def _profile_hits(spans: Sequence[Span]) -> tuple[int, int]:
+    """(cache hits, spans that carry a ``cache_hit`` attribute)."""
+    cached = [s for s in spans if "cache_hit" in s.attributes]
+    return sum(1 for s in cached if s.attributes["cache_hit"]), len(cached)
+
+
+def _profile_root_ms(spans: Sequence[Span]) -> float:
+    """Time covered by ``spans``: nested spans are inside their parent's time."""
+    ids = {s.context.span_id for s in spans}
+    return sum(s.duration_ns for s in spans if s.context.parent_id not in ids) / 1e6
+
+
+def render_profile(spans: Sequence[Span], aggregate: bool = False) -> str:
+    """The CLI's ``--profile`` table over the wall-clock spans of a run.
+
+    One row per span, in start order: the span name (``stage:`` dropped),
+    ``hit``/``miss`` for spans that carry a ``cache_hit`` attribute (the
+    flow's stage spans), the wall time, the fingerprint prefix and the other
+    attributes as metrics (``metric.`` dropped).  ``aggregate=True`` groups
+    the spans by name and reports count, cache hits, hit rate and total/mean
+    time per name instead, busiest first — the layout for a sweep, which
+    replays the same stages many times.  The total line times the root
+    spans only, so nested spans are not counted twice.
+    """
+    rows = sorted((s for s in spans if s.clock == "wall"), key=lambda s: s.start_ns)
+    if not rows:
+        return "profile: no wall-clock spans recorded"
+    if aggregate:
+        return _render_profile_aggregate(rows)
+    width = max(len("stage"), *(len(_profile_label(s)) for s in rows))
+    lines = [f"{'stage':<{width}}  {'cache':<5}  {'time':>10}  fingerprint   metrics"]
+    for span in rows:
+        metrics = " ".join(
+            f"{key.removeprefix('metric.')}={value}"
+            for key, value in sorted(span.attributes.items())
+            if key not in _PROFILE_COLUMNS
+        )
+        hit = span.attributes.get("cache_hit")
+        status = "" if hit is None else "hit" if hit else "miss"
+        fingerprint = str(span.attributes.get("fingerprint", ""))[:12]
+        lines.append(
+            f"{_profile_label(span):<{width}}  {status:<5}  "
+            f"{span.duration_ns / 1e6:>7.2f} ms  {fingerprint:<12}  {metrics}".rstrip()
+        )
+    hits, cached = _profile_hits(rows)
+    lines.append(
+        f"{'total':<{width}}  {hits}/{cached} hit  {_profile_root_ms(rows):>7.2f} ms"
+    )
+    return "\n".join(lines)
+
+
+def _render_profile_aggregate(rows: list[Span]) -> str:
+    """Per-name rollup: count / hits / hit rate / total + mean time, busiest first."""
+    groups: dict[str, list[Span]] = {}
+    for span in rows:
+        groups.setdefault(_profile_label(span), []).append(span)
+    width = max(len("stage"), *(len(label) for label in groups))
+
+    def rate(hits: int, cached: int) -> str:
+        return f"{100 * hits / cached:>4.0f}%" if cached else f"{'-':>5}"
+
+    lines = [
+        f"{'stage':<{width}}  {'count':>5}  {'hits':>4}  {'rate':>5}  "
+        f"{'total':>11}  {'mean':>11}"
+    ]
+    ordered = sorted(
+        groups.items(), key=lambda kv: (-sum(s.duration_ns for s in kv[1]), kv[0])
+    )
+    for label, group in ordered:
+        total_ms = sum(s.duration_ns for s in group) / 1e6
+        hits, cached = _profile_hits(group)
+        lines.append(
+            f"{label:<{width}}  {len(group):>5}  {hits:>4}  {rate(hits, cached)}  "
+            f"{total_ms:>8.2f} ms  {total_ms / len(group):>8.2f} ms"
+        )
+    hits, cached = _profile_hits(rows)
+    lines.append(
+        f"{'total':<{width}}  {len(rows):>5}  {hits:>4}  {rate(hits, cached)}  "
+        f"{_profile_root_ms(rows):>8.2f} ms"
+    )
+    return "\n".join(lines)
 
 
 # -- run manifests -----------------------------------------------------------------

@@ -19,8 +19,11 @@ import pytest
 from repro.dfg.library import default_library
 from repro.exec import ParallelSweepEngine, SweepEvent
 from repro.fabric.device import XC2V1000
-from repro.flows import RecordingObserver, parse_constraints, sweep_jobs_for_grid
+from repro.flows import parse_constraints, sweep_jobs_for_grid
 from repro.mccdma.casestudy import build_mccdma_graph
+from repro.mccdma.engine import LinkEngineConfig, LinkPointJob
+from repro.mccdma.transmitter import MCCDMAConfig
+from repro.obs import Tracer, use_tracer
 from repro.reconfig import case_a_standalone, case_b_processor
 
 CONSTRAINTS = parse_constraints("""
@@ -55,6 +58,10 @@ def with_fault(job, job_id, fault):
     return dataclasses.replace(job, job_id=job_id, fault=fault)
 
 
+def kinds(report):
+    return [e.kind for e in report.events]
+
+
 # -- construction ------------------------------------------------------------------
 
 
@@ -83,34 +90,49 @@ def test_sweep_event_kind_is_validated():
     with pytest.raises(ValueError, match="unknown sweep event kind"):
         SweepEvent(kind="not_a_kind")
     event = SweepEvent(kind="job_finished", job="j1", worker=3, attempt=2, detail="x")
-    flow_event = event.to_flow_event()
-    assert flow_event.stage == "sweep:job_finished"
-    assert flow_event.flow.endswith("/j1")
-    assert flow_event.metrics["worker"] == 3
-    assert flow_event.metrics["attempt"] == 2
+    assert (event.kind, event.sweep, event.job) == ("job_finished", "sweep", "j1")
+    assert event.worker == 3
+    assert event.attempt == 2
 
 
 # -- serial in-process mode (jobs=0) ------------------------------------------------
 
 
 def test_serial_mode_runs_the_grid_and_streams_events(tmp_path):
-    recorder = RecordingObserver()
-    engine = ParallelSweepEngine(
-        jobs=0, cache_dir=tmp_path / "cache", observer=recorder, sweep_name="serial"
-    )
-    report = engine.run(grid_jobs(architectures=(case_a_standalone(), case_b_processor())))
+    engine = ParallelSweepEngine(jobs=0, cache_dir=tmp_path / "cache", sweep_name="serial")
+    with use_tracer(Tracer()) as tracer:
+        report = engine.run(grid_jobs(architectures=(case_a_standalone(), case_b_processor())))
     assert [r.ok for r in report.results] == [True, True]
     assert [r.job_id for r in report.results] == [
         "xc2v1000@case_a_standalone",
         "xc2v1000@case_b_processor",
     ]
-    # Stage events flowed through the observer; shared cache produced hits.
+    # Every stage looked up the shared cache, which produced hits.
     assert report.cache_lookups() == 12  # 2 jobs x 6 stages
     assert report.cache_hits() > 0
-    kinds = [e.stage for e in report.events if e.stage.startswith("sweep:")]
-    assert kinds.count("sweep:job_finished") == 2
-    assert kinds[-1] == "sweep:sweep_completed"
-    assert recorder.events  # same stream reached the observer
+    assert kinds(report).count("job_finished") == 2
+    assert kinds(report)[-1] == "sweep_completed"
+    # The stage spans agree with the cache accounting.
+    stages = [s for s in tracer.spans if s.name.startswith("stage:")]
+    assert len(stages) == report.cache_lookups()
+    assert sum(s.attributes["cache_hit"] for s in stages) == report.cache_hits()
+
+
+def test_link_jobs_report_no_stage_cache_traffic():
+    """Non-flow jobs never touch the artifact cache, so a link sweep
+    reports 0/0 — not its ``link:*`` batches counted as cache lookups."""
+    jobs = [
+        LinkPointJob(
+            job_id=f"pt{i}", strategy="qpsk", snr_db=6.0, n_frames=8, seed_entropy=0,
+            point_index=i, config=MCCDMAConfig(user_codes=(0, 5)),
+            engine=LinkEngineConfig(batch_frames=4),
+        )
+        for i in range(2)
+    ]
+    report = ParallelSweepEngine(jobs=0).run(jobs)
+    assert all(r.ok for r in report.results)
+    assert (report.cache_hits(), report.cache_lookups()) == (0, 0)
+    assert "stage cache 0/0 hit" in report.summary()
 
 
 def test_serial_mode_retries_then_reports_failure():
@@ -128,12 +150,13 @@ def test_serial_mode_retries_then_reports_failure():
 
 
 def test_parallel_sweep_matches_expected_points(tmp_path):
-    recorder = RecordingObserver()
     engine = ParallelSweepEngine(
-        jobs=2, timeout_s=300, retries=1, cache_dir=tmp_path / "cache", observer=recorder
+        jobs=2, timeout_s=300, retries=1, cache_dir=tmp_path / "cache"
     )
     jobs = grid_jobs(architectures=(case_a_standalone(), case_b_processor()))
-    report = engine.run(jobs)
+    with use_tracer(Tracer()) as tracer:
+        report = engine.run(jobs)
+    engine.close()
     # Results in submission order, independent of completion order.
     assert [r.job_id for r in report.results] == [j.job_id for j in jobs]
     assert all(r.ok for r in report.results)
@@ -141,9 +164,11 @@ def test_parallel_sweep_matches_expected_points(tmp_path):
     assert payload["fits"] is True
     assert payload["makespan_ns"] > 0
     assert payload["reconfig_latency_ns"]["D1"] > 0
-    # Worker stage events were streamed back into the observer layer.
-    stage_names = {e.stage for e in recorder.events if not e.stage.startswith("sweep:")}
-    assert "adequation" in stage_names and "modular_backend" in stage_names
+    # Worker stage spans were streamed back into the caller's trace.
+    stage_names = {
+        s.name for s in tracer.spans if s.process.startswith("worker-")
+    }
+    assert "stage:adequation" in stage_names and "stage:modular_backend" in stage_names
     assert report.to_dict()["succeeded"] == 2
 
 
@@ -155,8 +180,10 @@ def test_parallel_faults_retry_then_report_without_deadlock(tmp_path):
     raiser = with_fault(good, "raiser", "raise")
     crasher = with_fault(good, "crasher", "exit")
     hung = with_fault(good, "hung", "hang")
+    # Worker imports are not on a job's clock and a fitting job runs in
+    # tens of milliseconds, so 1 s still tells every other job from the hang.
     engine = ParallelSweepEngine(
-        jobs=2, timeout_s=15, retries=1, backoff_s=0.01, cache_dir=tmp_path / "cache"
+        jobs=2, timeout_s=1, retries=1, backoff_s=0.01, cache_dir=tmp_path / "cache"
     )
     report = engine.run([good, raiser, crasher, hung])
     by_id = {r.job_id: r for r in report.results}
@@ -166,11 +193,10 @@ def test_parallel_faults_retry_then_report_without_deadlock(tmp_path):
     assert "injected fault" in by_id["raiser"].error
     assert not by_id["crasher"].ok and "crashed" in by_id["crasher"].error
     assert not by_id["hung"].ok and "timed out" in by_id["hung"].error
-    kinds = [e.stage for e in report.events if e.stage.startswith("sweep:")]
-    assert "sweep:job_retried" in kinds
-    assert "sweep:job_timeout" in kinds
-    assert "sweep:worker_crashed" in kinds
-    assert kinds[-1] == "sweep:sweep_completed"
+    assert "job_retried" in kinds(report)
+    assert "job_timeout" in kinds(report)
+    assert "worker_crashed" in kinds(report)
+    assert kinds(report)[-1] == "sweep_completed"
 
 
 def test_flaky_job_succeeds_on_parallel_retry(tmp_path):

@@ -1,160 +1,77 @@
-"""Observer sinks: JSONL file handling, composite fault isolation, profiles."""
-
-import json
-import logging
+"""The ``--profile`` table: :func:`repro.obs.render_profile` over spans."""
 
 import pytest
 
-from repro.flows.observe import (
-    CompositeObserver,
-    FlowEvent,
-    JsonLinesObserver,
-    RecordingObserver,
-    render_profile,
-)
+from repro.obs import Span, SpanContext, render_profile
 
 
-def make_event(stage="adequation", cache_hit=False, wall=0.002, flow="f@a"):
-    return FlowEvent(
-        flow=flow, stage=stage, cache_hit=cache_hit, wall_time_s=wall,
-        fingerprint="deadbeef" * 8, metrics={"n": 1},
+def make_span(name, span_id, parent_id=None, start_ms=0.0, ms=1.0, clock="wall", **attributes):
+    return Span(
+        name=name,
+        context=SpanContext(trace_id="t", span_id=span_id, parent_id=parent_id),
+        start_ns=int(start_ms * 1e6),
+        duration_ns=int(ms * 1e6),
+        clock=clock,
+        attributes=attributes,
     )
 
 
-# -- JsonLinesObserver --------------------------------------------------------
+def stage(stage_name, span_id, start_ms, ms, hit):
+    return make_span(
+        f"stage:{stage_name}", span_id, parent_id="root", start_ms=start_ms, ms=ms,
+        flow="f", cache_hit=hit, fingerprint="0123456789abcdef", **{"metric.files": 2},
+    )
 
 
-def test_jsonl_path_target_uses_one_handle(tmp_path):
-    target = tmp_path / "events.jsonl"
-    with JsonLinesObserver(target) as observer:
-        first_stream = observer._stream
-        observer.on_event(make_event(stage="a"))
-        observer.on_event(make_event(stage="b", cache_hit=True))
-        assert observer._stream is first_stream  # no reopen per event
-        # flushed per line: visible to concurrent readers before close
-        lines = target.read_text().splitlines()
-        assert len(lines) == 2
-    assert first_stream.closed
-    rows = [json.loads(line) for line in target.read_text().splitlines()]
-    assert [r["stage"] for r in rows] == ["a", "b"]
-    assert rows[1]["status"] == "hit"
-
-
-def test_jsonl_appends_across_observers(tmp_path):
-    target = tmp_path / "events.jsonl"
-    with JsonLinesObserver(target) as observer:
-        observer.on_event(make_event(stage="a"))
-    with JsonLinesObserver(target) as observer:
-        observer.on_event(make_event(stage="b"))
-    assert len(target.read_text().splitlines()) == 2
-
-
-def test_jsonl_close_is_idempotent(tmp_path):
-    observer = JsonLinesObserver(tmp_path / "e.jsonl")
-    observer.close()
-    observer.close()
-
-
-def test_jsonl_stream_target_not_closed():
-    import io
-
-    stream = io.StringIO()
-    with JsonLinesObserver(stream) as observer:
-        observer.on_event(make_event())
-    assert not stream.closed
-    assert json.loads(stream.getvalue())["flow"] == "f@a"
-
-
-# -- CompositeObserver fault isolation ---------------------------------------
-
-
-class _Broken:
-    def __init__(self):
-        self.calls = 0
-
-    def on_event(self, event):
-        self.calls += 1
-        raise RuntimeError("sink down")
-
-
-def test_composite_isolates_raising_observer(caplog):
-    broken, recorder = _Broken(), RecordingObserver()
-    composite = CompositeObserver(broken, recorder)
-    with caplog.at_level(logging.ERROR, logger="repro.flows"):
-        composite.on_event(make_event(stage="a"))
-        composite.on_event(make_event(stage="b"))
-    # The run survived and the healthy sink saw every event.
-    assert [e.stage for e in recorder.events] == ["a", "b"]
-    # The broken sink kept being offered events but was logged only once.
-    assert broken.calls == 2
-    failures = [r for r in caplog.records if "raised on" in r.message]
-    assert len(failures) == 1
-    assert "_Broken" in failures[0].getMessage()
-
-
-def test_composite_logs_each_distinct_failing_observer(caplog):
-    first, second = _Broken(), _Broken()
-    composite = CompositeObserver(first, second)
-    with caplog.at_level(logging.ERROR, logger="repro.flows"):
-        composite.on_event(make_event())
-        composite.on_event(make_event())
-    assert len([r for r in caplog.records if "raised on" in r.message]) == 2
-
-
-# -- render_profile -----------------------------------------------------------
-
-
-def _sweep_events():
+def sweep_spans():
+    """One root span over four stage spans, plus a sim span to be ignored."""
     return [
-        make_event(stage="adequation", cache_hit=False, wall=0.004),
-        make_event(stage="adequation", cache_hit=True, wall=0.001),
-        make_event(stage="modular_backend", cache_hit=False, wall=0.010),
-        make_event(stage="adequation", cache_hit=True, wall=0.001),
+        stage("adequation", "a1", 1.0, 4.0, False),
+        stage("adequation", "a2", 5.0, 1.0, True),
+        stage("modular_backend", "m1", 6.0, 10.0, False),
+        stage("adequation", "a3", 16.0, 1.0, True),
+        make_span("flow:f", "root", start_ms=0.0, ms=20.0),
+        make_span("resident", "sim1", clock="sim", ms=99.0, region="D1", kind="resident"),
     ]
 
 
 def test_render_profile_default_is_per_event():
-    text = render_profile(_sweep_events())
-    assert len([line for line in text.splitlines() if "adequation" in line]) == 3
+    text = render_profile(sweep_spans())
+    lines = text.splitlines()
+    # One row per wall-clock span, in start order; the sim span is left out.
+    assert [line.split()[0] for line in lines[1:-1]] == [
+        "flow:f", "adequation", "adequation", "modular_backend", "adequation",
+    ]
+    first = lines[2]
+    assert first.split()[1:4] == ["miss", "4.00", "ms"]
+    assert "0123456789ab" in first and "0123456789abc" not in first
+    assert first.endswith("files=2")  # metric. prefix dropped, flow column-only
+    assert lines[3].split()[1] == "hit"
+    assert lines[1].split()[1:3] == ["20.00", "ms"]  # no cache column for flow:f
+    # The total times the root span only: nested stages are inside it.
+    assert lines[-1].split() == ["total", "2/4", "hit", "20.00", "ms"]
 
 
 def test_render_profile_aggregate_groups_by_stage():
-    text = render_profile(_sweep_events(), aggregate=True)
+    text = render_profile(sweep_spans(), aggregate=True)
     lines = text.splitlines()
     assert lines[0].split() == ["stage", "count", "hits", "rate", "total", "mean"]
-    # Busiest stage first.
-    assert lines[1].startswith("modular_backend")
+    # Busiest name first.
+    assert lines[1].startswith("flow:f")
+    assert lines[2].startswith("modular_backend")
     adequation = next(line for line in lines if line.startswith("adequation"))
     fields = adequation.split()
     assert fields[1] == "3" and fields[2] == "2" and fields[3] == "67%"
     assert pytest.approx(float(fields[4]), abs=0.01) == 6.0  # total ms
     assert pytest.approx(float(fields[6]), abs=0.01) == 2.0  # mean ms
+    assert lines[1].split()[3] == "-"  # flow:f carries no cache_hit
     total = lines[-1].split()
-    assert total[0] == "total" and total[1] == "4" and total[2] == "2"
+    assert total[:4] == ["total", "5", "2", "50%"]
+    assert pytest.approx(float(total[4]), abs=0.01) == 20.0
 
 
 def test_render_profile_empty():
-    assert "no stage events" in render_profile([])
-    assert "no stage events" in render_profile([], aggregate=True)
-
-
-def test_jsonl_closed_handle_degrades_to_one_warning(tmp_path, caplog):
-    """A handle closed under the observer must not crash the run.
-
-    Interpreter shutdown (or an aggressive caller) can close the stream
-    while late stage events are still in flight; the sink logs one warning,
-    marks itself dead and swallows everything after that.
-    """
-    target = tmp_path / "events.jsonl"
-    observer = JsonLinesObserver(target)
-    observer.on_event(make_event(stage="a"))
-    observer._stream.close()  # torn down underneath the observer
-    with caplog.at_level(logging.WARNING, logger="repro.flows"):
-        observer.on_event(make_event(stage="b"))  # must not raise
-        observer.on_event(make_event(stage="c"))
-    warnings = [r for r in caplog.records if "dropping further events" in r.message]
-    assert len(warnings) == 1
-    assert observer._dead
-    observer.close()  # idempotent even with the stream already closed
-    rows = [json.loads(line) for line in target.read_text().splitlines()]
-    assert [r["stage"] for r in rows] == ["a"]  # only the pre-close event
+    sim_only = [make_span("resident", "sim1", clock="sim")]
+    for spans in ([], sim_only):
+        assert "no wall-clock spans" in render_profile(spans)
+        assert "no wall-clock spans" in render_profile(spans, aggregate=True)

@@ -21,11 +21,10 @@ from repro.flows import (
     STAGE_NAMES,
     ArtifactCache,
     DesignFlow,
-    JsonLinesObserver,
-    RecordingObserver,
     explore_design_space,
     parse_constraints,
 )
+from repro.obs import Tracer, use_tracer
 from repro.aaa.scheduler import SynDExScheduler
 from repro.arch.boards import sundance_board
 from repro.mccdma.casestudy import build_mccdma_design, build_mccdma_graph
@@ -52,6 +51,17 @@ def case_study_flow(**overrides):
     flow = DesignFlow.from_design(design, **kwargs)
     flow.mapping.pin("bit_src", "DSP").pin("select", "DSP")
     return flow
+
+
+def stage_spans(tracer, stage=None, cache_hit=None):
+    """The tracer's ``stage:`` spans, optionally of one stage / hit state."""
+    return [
+        s
+        for s in tracer.spans
+        if s.name.startswith("stage:")
+        and (stage is None or s.name == f"stage:{stage}")
+        and (cache_hit is None or s.attributes["cache_hit"] is cache_hit)
+    ]
 
 
 def static_stage_keys(flow):
@@ -209,45 +219,49 @@ def test_device_change_keeps_upstream_keys():
 
 def test_warm_rerun_hits_every_stage():
     cache = ArtifactCache()
-    recorder = RecordingObserver()
-    case_study_flow(cache=cache, observer=recorder).run()
-    assert recorder.executions() == len(STAGE_NAMES)
-    assert recorder.hits() == 0
+    with use_tracer(Tracer()) as tracer:
+        case_study_flow(cache=cache).run()
+    assert len(stage_spans(tracer, cache_hit=False)) == len(STAGE_NAMES)
+    assert stage_spans(tracer, cache_hit=True) == []
 
-    recorder.clear()
-    result = case_study_flow(cache=cache, observer=recorder).run()
-    assert [e.stage for e in recorder.events] == list(STAGE_NAMES)
-    assert recorder.hits() == len(STAGE_NAMES)
-    assert recorder.executions() == 0
+    with use_tracer(Tracer()) as tracer:
+        result = case_study_flow(cache=cache).run()
+    assert [s.name for s in stage_spans(tracer)] == [f"stage:{n}" for n in STAGE_NAMES]
+    assert len(stage_spans(tracer, cache_hit=True)) == len(STAGE_NAMES)
+    assert stage_spans(tracer, cache_hit=False) == []
     assert result.makespan_ns > 0
-    # The FlowResult carries its own events for profiling.
-    assert all(e.cache_hit for e in result.events)
+    # The FlowResult carries its own per-stage cache record.
+    assert [s["stage"] for s in result.stages] == list(STAGE_NAMES)
+    assert all(s["cache_hit"] for s in result.stages)
 
 
 def test_input_change_invalidates_warm_cache_at_runtime():
     cache = ArtifactCache()
     case_study_flow(cache=cache).run()
-    recorder = RecordingObserver()
-    case_study_flow(cache=cache, prefetch=False, observer=recorder).run()
-    assert recorder.hits("modelisation") == 1
-    assert recorder.executions("adequation") == 1
-    assert recorder.executions("adequation_refine") == 1
+    result = case_study_flow(cache=cache, prefetch=False).run()
+    hit = {s["stage"]: s["cache_hit"] for s in result.stages}
+    assert hit["modelisation"] is True
+    assert hit["adequation"] is False
+    assert hit["adequation_refine"] is False
 
 
 # -- shared cache across the design space ------------------------------------------
 
 
 def sweep(share_cache):
-    recorder = RecordingObserver()
-    points = explore_design_space(
-        build_mccdma_graph(),
-        default_library(),
-        dynamic_constraints=parse_constraints(CONSTRAINTS),
-        configure_flow=lambda flow: flow.mapping.pin("bit_src", "DSP").pin("select", "DSP"),
-        share_cache=share_cache,
-        observer=recorder,
-    )
-    return points, recorder
+    with use_tracer(Tracer()) as tracer:
+        points = explore_design_space(
+            build_mccdma_graph(),
+            default_library(),
+            dynamic_constraints=parse_constraints(CONSTRAINTS),
+            configure_flow=lambda flow: flow.mapping.pin("bit_src", "DSP").pin("select", "DSP"),
+            share_cache=share_cache,
+        )
+
+    def executions(stage):
+        return len(stage_spans(tracer, stage, cache_hit=False))
+
+    return points, executions
 
 
 def test_designspace_shared_cache_halves_adequation_executions():
@@ -255,10 +269,10 @@ def test_designspace_shared_cache_halves_adequation_executions():
     cold_points, cold = sweep(share_cache=False)
     warm_points, warm = sweep(share_cache=True)
     assert len(cold_points) == len(warm_points) == 6  # stock 3-device x 2-arch grid
-    assert cold.executions("adequation") >= 2 * warm.executions("adequation")
-    assert warm.executions("adequation") == 1  # one first-pass adequation for the sweep
-    assert warm.executions("vhdl_generation") == 1
-    assert warm.executions("modelisation") == 1
+    assert cold("adequation") >= 2 * warm("adequation")
+    assert warm("adequation") == 1  # one first-pass adequation for the sweep
+    assert warm("vhdl_generation") == 1
+    assert warm("modelisation") == 1
     # Identical results either way.
     for a, b in zip(cold_points, warm_points):
         assert (a.device, a.architecture, a.makespan_ns) == (b.device, b.architecture, b.makespan_ns)
@@ -269,7 +283,7 @@ def test_designspace_shared_cache_halves_adequation_executions():
 
 
 def test_library_code_writes_nothing_to_stdout(capsys):
-    """The observer/logging channel replaces bare prints: a full flow run
+    """Spans and the logging channel replace bare prints: a full flow run
     must leave stdout and stderr untouched."""
     case_study_flow().run()
     captured = capsys.readouterr()
@@ -277,16 +291,19 @@ def test_library_code_writes_nothing_to_stdout(capsys):
     assert captured.err == ""
 
 
-def test_jsonl_observer_writes_one_event_per_stage(tmp_path):
-    target = tmp_path / "events.jsonl"
-    case_study_flow(observer=JsonLinesObserver(target)).run()
-    lines = target.read_text().splitlines()
+def test_stage_spans_serialize_one_json_line_per_stage():
+    """What ``--log-json`` writes: one JSON line per ``stage:`` span, each
+    agreeing with the FlowResult's per-stage record."""
+    with use_tracer(Tracer()) as tracer:
+        result = case_study_flow().run()
+    lines = [json.dumps(s.to_dict()) for s in stage_spans(tracer)]
     assert len(lines) == len(STAGE_NAMES)
-    events = [json.loads(line) for line in lines]
-    assert [e["stage"] for e in events] == list(STAGE_NAMES)
-    for event in events:
-        assert event["status"] in ("hit", "miss")
-        assert len(event["fingerprint"]) == 64
+    spans = [json.loads(line) for line in lines]
+    assert [s["name"] for s in spans] == [f"stage:{n}" for n in STAGE_NAMES]
+    for span, stage in zip(spans, result.stages):
+        assert span["attributes"]["cache_hit"] is stage["cache_hit"] is False
+        assert len(stage["fingerprint"]) == 64
+        assert stage["fingerprint"].startswith(span["attributes"]["fingerprint"])
 
 
 def test_flow_result_to_dict_is_json_safe():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles.link_engine import PerFrameLinkEngine
 
-from repro.flows.observe import RecordingObserver
+from repro.obs import Tracer, use_tracer
 from repro.mccdma.engine import (
     LinkEngineConfig,
     LinkPointJob,
@@ -137,17 +137,20 @@ def test_engine_config_validation():
 # -- observability --------------------------------------------------------------
 
 def test_engine_emits_batch_and_run_events():
-    recorder = RecordingObserver()
-    engine = LinkSimulationEngine(
-        engine=LinkEngineConfig(batch_frames=2), observer=recorder
-    )
-    engine.simulate("qpsk", [1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
-    stages = [e.stage for e in recorder.events]
-    assert stages.count("link:batch") == 3  # ceil(5 / 2)
-    assert stages.count("link:run") == 1
-    run = next(e for e in recorder.events if e.stage == "link:run")
-    assert run.flow == "link:qpsk"
-    assert run.metrics["frames"] == 5 and run.metrics["early_stopped"] is False
+    engine = LinkSimulationEngine(engine=LinkEngineConfig(batch_frames=2))
+    with use_tracer(Tracer()) as tracer:
+        result = engine.simulate("qpsk", [1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
+    names = [s.name for s in tracer.spans]
+    assert names.count("link:batch") == 3  # ceil(5 / 2)
+    assert names.count("link:run:qpsk") == 1
+    run = next(s for s in tracer.spans if s.name == "link:run:qpsk")
+    assert run.attributes["strategy"] == "qpsk"
+    assert run.attributes["frames"] == 5 and run.attributes["early_stopped"] is False
+    last = [s for s in tracer.spans if s.name == "link:batch"][-1]
+    assert last.context.parent_id == run.context.span_id
+    assert last.attributes["frames_done"] == 5
+    assert last.attributes["ber"] == result.ber
+    assert last.attributes["ci_halfwidth"] > 0
 
 
 # -- SNR sweeps through the exec machinery --------------------------------------

@@ -46,12 +46,18 @@ def test_flow_json_command():
 
 
 def test_flow_profile_flag():
+    from repro.flows import STAGE_NAMES
+
     code, text = run_cli("--profile", "flow")
     assert code == 0
     assert "modelisation" in text
     assert "adequation_refine" in text
     assert "miss" in text
-    assert "Design flow report" in text  # report still follows the profile
+    assert "Design flow report" in text
+    profile = text[text.index("\nstage "):].splitlines()[1:]
+    assert text.index("Design flow report") < text.index("\nstage ")  # profile follows
+    rows = {line.split()[0]: line.split()[1] for line in profile}
+    assert [rows[name] for name in STAGE_NAMES] == ["miss"] * len(STAGE_NAMES)
 
 
 def test_log_json_flag(tmp_path):
@@ -60,9 +66,11 @@ def test_log_json_flag(tmp_path):
     target = tmp_path / "events.jsonl"
     code, text = run_cli("--log-json", str(target), "flow")
     assert code == 0
-    lines = target.read_text().splitlines()
-    assert len(lines) == 6
-    assert {json.loads(line)["stage"] for line in lines} >= {"modelisation", "executive"}
+    spans = [json.loads(line) for line in target.read_text().splitlines()]
+    stages = [s for s in spans if s["name"].startswith("stage:")]
+    assert len(stages) == 6
+    assert {s["name"] for s in stages} >= {"stage:modelisation", "stage:executive"}
+    assert all("cache_hit" in s["attributes"] for s in stages)
 
 
 def test_table1_command():
@@ -177,16 +185,23 @@ def test_sweep_json_report(tmp_path):
 
 
 def test_sweep_profile_covers_parallel_run(tmp_path):
+    import json
+
     code, text = run_cli(
         "--profile", "--log-json", str(tmp_path / "events.jsonl"),
         "sweep", "--jobs", "2", "--timeout", "300",
         "--devices", "xc2v1000", "--architectures", "case_a,case_b",
     )
     assert code == 0
-    assert "adequation" in text  # worker stage events reached the profile
-    assert "sweep:job_finished" in text or "sweep:sweep_completed" in text
-    lines = (tmp_path / "events.jsonl").read_text().splitlines()
-    assert any('"sweep:sweep_completed"' in line for line in lines)
+    profile = text[text.index("\nstage "):].splitlines()
+    # Worker stage spans reached the (aggregated) profile.
+    assert any(line.startswith("adequation ") for line in profile)
+    assert "sweep:designspace:mccdma_tx" in text
+    spans = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+    assert any(s["name"].startswith("sweep:") for s in spans)
+    assert any(
+        s["name"] == "stage:adequation" and s["process"].startswith("worker-") for s in spans
+    )
 
 
 def test_sweep_unknown_device_is_a_clean_error():
@@ -258,7 +273,7 @@ def test_linklevel_profile_shows_engine_events(tmp_path):
     assert code == 0
     assert "link:batch" in text and "link:point" in text
     lines = (tmp_path / "events.jsonl").read_text().splitlines()
-    assert any('"link:point"' in line for line in lines)
+    assert any('"link:point:qpsk"' in line for line in lines)
 
 
 def test_linklevel_bad_grid_and_strategy_are_clean_errors():
@@ -358,6 +373,29 @@ def test_fleet_command_prints_frontier_table():
     assert "fleet[none/poisson]" in text
     assert "fleet[history/poisson]" in text
     assert "policy" in text and "hit rate" in text and "digest" in text
+
+
+def test_fleet_profile_does_not_change_the_run():
+    """``--profile`` records spans but must not route boards through the
+    kernel (only ``--trace`` does): the policy/digest table is unchanged."""
+    argv = ("fleet", "--boards", "8", "--requests", "40", "--policy", "fixed,lru")
+
+    def table(text):
+        lines = text.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("policy"))
+        # policy, hit rate, mean stall and digest; req/s is wall-clock
+        return [
+            (f[0], f[1], f[2], f[4])
+            for f in (line.split() for line in lines[start + 1:start + 3])
+        ]
+
+    code, plain = run_cli(*argv)
+    assert code == 0
+    code, profiled = run_cli("--profile", *argv)
+    assert code == 0
+    assert [row[0] for row in table(plain)] == ["fixed", "lru"]
+    assert table(profiled) == table(plain)
+    assert "fleet:fixed" in profiled and "fleet:lru" in profiled
 
 
 def test_fleet_json_output():

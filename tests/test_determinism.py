@@ -106,7 +106,7 @@ def test_cold_and_warm_flow_artefacts_byte_identical():
     cache = ArtifactCache()
     make_flow(cache=cache).run()  # populate
     warm = make_flow(cache=cache).run()  # every stage served from cache
-    assert all(e.cache_hit for e in warm.events)
+    assert all(stage["cache_hit"] for stage in warm.stages)
 
     assert schedule_fingerprint(cold.adequation.schedule) == schedule_fingerprint(
         warm.adequation.schedule
