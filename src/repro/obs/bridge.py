@@ -99,22 +99,28 @@ def record_trace_telemetry(store, trace, **labels) -> int:
     - ``fleet.loads`` — counter per window of load *starts*, labeled by
       span kind (``load`` = demand, ``prefetch`` = speculative);
     - ``fleet.reconfig_ns`` — quantile sketch of load durations (the p99
-      reconfiguration-latency SLO input), window of the start time;
-    - ``fleet.port_busy_ns`` — configuration-port occupancy attributed to
-      the window the transfer started in.
+      reconfiguration-latency SLO input; port wait included), window of
+      the start time;
+    - ``fleet.port_busy_ns`` — configuration-port occupancy from the
+      builder's ``reconfig`` spans: pure transfer time, attributed to the
+      window the transfer started in (after any port wait).  That is the
+      fast engine's convention (see
+      :class:`~repro.runtime.fleet.FleetTelemetryRecorder`), so both
+      engines report the same series.
 
     Extra ``labels`` (typically ``policy=...``) apply to every series.
-    Returns the number of spans folded in.  Close the trace first
-    (``trace.close_open``) — open spans have no duration yet.
+    Returns the number of load/prefetch spans folded in.  Close the trace
+    first (``trace.close_open``) — open spans have no duration yet.
     """
     folded = 0
     for span in trace.spans:
+        if span.kind == "reconfig":
+            store.counter_add("fleet.port_busy_ns", span.start, span.duration, **labels)
+            continue
         if span.kind not in ("load", "prefetch"):
             continue
-        duration = span.duration
         store.counter_add("fleet.loads", span.start, 1, kind=span.kind, **labels)
-        store.observe("fleet.reconfig_ns", span.start, duration, **labels)
-        store.counter_add("fleet.port_busy_ns", span.start, duration, **labels)
+        store.observe("fleet.reconfig_ns", span.start, span.duration, **labels)
         folded += 1
     return folded
 

@@ -12,14 +12,16 @@ Two execution strategies, picked per policy bundle by :func:`vector_mode`:
 
 - **Vectorized cores** hold the whole fleet's manager state as numpy arrays
   (active module per ``(board, region)``, resident sets as boolean cubes,
-  recency/frequency/insertion clocks) and advance all boards one request
-  step at a time.  Closed forms exist wherever the request stream is
-  sequential per board:
+  recency/frequency/insertion/next-use tables) and advance all boards one
+  request step at a time.  Closed forms exist wherever the request stream
+  is sequential per board:
 
-  * ``noprefetch`` (``none``/``lru``/``lfu`` and any ``region_slots``):
-    demands never overlap loads, so a step is hit / resident-hit / miss with
-    ``stall = latency + transfer`` on a miss, plus masked insert/evict
-    updates on the resident cube.
+  * ``noprefetch`` (``none``/``lru``/``lfu``/``belady`` and any
+    ``region_slots``): demands never overlap loads, so a step is hit /
+    resident-hit / miss with ``stall = latency + transfer`` on a miss, plus
+    masked insert/evict updates on the resident cube.  Belady's
+    clairvoyance is a next-use table built in one vectorized pass before
+    the step loop.
   * ``onselect`` (``fixed``/``on_select`` at one slot): the announcement
     starts a speculative load at the previous completion time ``t_sel``;
     with ``spec_end = t_sel + latency + transfer`` the demand at ``t_req``
@@ -29,9 +31,9 @@ Two execution strategies, picked per policy bundle by :func:`vector_mode`:
     derived from — and are property-tested against — the kernel's cascade
     ordering, including the exact-tie ``t_req == spec_end`` join.
 
-- **The scalar micro-simulator** (:class:`_BoardSim`) covers every other
-  bundle (history/confidence/markov speculation, belady's clairvoyant scan,
-  prefetch with multi-slot overrides).  It is still ~an order of magnitude
+- **The scalar micro-simulator** (:class:`_BoardSim`) covers the remaining
+  bundles: the idle-time speculators (history/confidence/markov) and
+  prefetch with multi-slot overrides.  It is still ~an order of magnitude
   faster than the kernel: one tiny per-board heap of plain tuples replaces
   generator processes, mailboxes and resource locks, while the *decision*
   objects (prefetch policy, eviction policy) are the real registry classes,
@@ -73,7 +75,7 @@ from repro.reconfig.architectures import ReconfigArchitecture
 from repro.reconfig.manager import COUNTER_FIELDS, ManagerStats
 from repro.reconfig.prefetch import NoPrefetchPolicy, OnSelectPrefetchPolicy
 from repro.runtime.policies import RuntimePolicy, create_policy, get_bundle
-from repro.runtime.traffic import FleetTraffic, future_from_schedule
+from repro.runtime.traffic import FleetTraffic
 from repro.sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet imports fast)
@@ -120,15 +122,18 @@ def vector_mode(policy: str, region_slots: Optional[int] = None) -> Optional[str
     """The vector core handling ``policy`` at ``region_slots``, or None.
 
     None means the bundle's transitions resist vectorization (idle-time
-    speculation whose predictions depend on per-board history, or belady's
-    clairvoyant scan) and boards run through the scalar micro-simulator.
-    The class checks are exact (``type is``): a subclassed policy may
-    override behaviour the closed forms assume, so it falls back safely.
+    speculation whose predictions depend on per-board history, or prefetch
+    with a multi-slot override) and boards run through the scalar
+    micro-simulator.  Every eviction-only bundle, ``belady`` included, has
+    a no-prefetch core; at one slot eviction is unobservable and they all
+    share the plain sequential one.  The class checks are exact
+    (``type is``): a subclassed policy may override behaviour the closed
+    forms assume, so it falls back safely.
     """
     bundle = get_bundle(policy)
     slots = region_slots if region_slots is not None else bundle.region_slots
     prefetch_type = type(bundle.prefetch_factory())
-    if prefetch_type is NoPrefetchPolicy and bundle.eviction_name in (None, "lru", "lfu"):
+    if prefetch_type is NoPrefetchPolicy and bundle.eviction_name in (None, "lru", "lfu", "belady"):
         if slots == 1 or bundle.eviction_name is None:
             kind = "fifo" if slots > 1 else "single"
         else:
@@ -168,6 +173,42 @@ def _load_table(
 # ---------------------------------------------------------------------------
 
 
+def _next_use_table(
+    regs: np.ndarray, mods: np.ndarray, n_regions: int, n_modules: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Belady's clairvoyance as arrays: ``(next_same, first_use)``.
+
+    ``next_same[step, board]`` is the step of the board's next demand for
+    the same ``(region, module)`` pair, or ``NEVER = steps`` when there is
+    none; ``first_use[board, region, module]`` is each pair's first demand
+    (``NEVER`` when it has none).  One stable argsort of the per-board
+    ``region * M + module`` keys lines every pair's demands up in step
+    order, so each entry's successor is its right neighbour within the
+    group.  Steps stand in for :class:`BeladyEviction`'s per-region
+    sequence positions: within one region both orders agree, and only
+    modules of one region are ever compared.
+    """
+    n_boards, steps = regs.shape
+    keys = regs * n_modules + mods
+    order = np.argsort(keys, axis=1, kind="stable")
+    sorted_keys = np.take_along_axis(keys, order, axis=1)
+    same_pair = sorted_keys[:, 1:] == sorted_keys[:, :-1]
+    next_same = np.full((n_boards, steps), steps, dtype=np.int64)
+    np.put_along_axis(
+        next_same, order[:, :-1], np.where(same_pair, order[:, 1:], steps), axis=1
+    )
+    first = np.ones((n_boards, steps), dtype=bool)
+    first[:, 1:] = ~same_pair
+    fb, fpos = np.nonzero(first)
+    first_use = np.full((n_boards, n_regions * n_modules), steps, dtype=np.int64)
+    first_use[fb, sorted_keys[fb, fpos]] = order[fb, fpos]
+    # step-major, so the loop reads one contiguous row per step
+    return (
+        np.ascontiguousarray(next_same.T),
+        first_use.reshape(n_boards, n_regions, n_modules),
+    )
+
+
 def _vector_noprefetch(
     gaps: np.ndarray,
     regs: np.ndarray,
@@ -180,14 +221,17 @@ def _vector_noprefetch(
     latency_ns: int,
     recorder=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """none / lru / lfu at any ``region_slots``: strictly sequential demands.
+    """none / lru / lfu / belady at any ``region_slots``: sequential demands.
 
     Without prefetch the region is always idle when a demand arrives, so a
     step is: hit (active module), resident hit (shared area), or a blocking
     load of ``latency + transfer``.  Multi-slot inserts may overflow the
     area; the victim is the masked argmin of ``metric * (M+1) + name_rank``
     — reproducing ``min(candidates, key=(metric, name))`` with LRU recency,
-    LFU frequency, or FIFO insertion order as the metric.
+    LFU frequency, or FIFO insertion order as the metric.  Belady's metric
+    is the step of each module's next demand (:func:`_next_use_table`) and
+    its victim the masked *argmax* — ``max(candidates, key=(next_use,
+    name))``, so of two never-again modules the larger name goes.
     """
     n_boards, steps = gaps.shape
     n_regions, n_modules = load_arr.shape
@@ -209,18 +253,21 @@ def _vector_noprefetch(
                 metric_arr[:, region, 0] = clock
         elif eviction == "lfu":
             metric_arr = np.zeros((n_boards, n_regions, n_modules), dtype=np.int64)
+        elif eviction == "belady":
+            next_same, metric_arr = _next_use_table(regs, mods, n_regions, n_modules)
         else:  # FIFO: per-board insertion sequence (order within a region)
             metric_arr = np.zeros((n_boards, n_regions, n_modules), dtype=np.int64)
             clock = np.zeros(n_boards, dtype=np.int64)
             for region in range(n_regions):
                 clock += 1
                 metric_arr[:, region, 0] = clock
+    belady = multi and eviction == "belady"
     huge = np.iinfo(np.int64).max
     if recorder is not None:
         # recorded durations include the request latency; the recorder
-        # subtracts it in bulk when deriving port occupancy
+        # strips it in bulk: each transfer starts at t_req + latency
         recorder.mode = "noprefetch"
-        recorder.port_offset_ns = latency_ns
+        recorder.latency_ns = latency_ns
     for step in range(steps):
         gap = gaps[:, step]
         region = regs[:, step]
@@ -232,6 +279,8 @@ def _vector_noprefetch(
             metric_arr[bi, region, module] = clock
         elif multi and eviction == "lfu":
             metric_arr[bi, region, module] += 1
+        elif belady:
+            metric_arr[bi, region, module] = next_same[step]
         active = loaded[bi, region]
         hit = active == module
         if multi:
@@ -256,7 +305,7 @@ def _vector_noprefetch(
         loaded[bi, region] = module
         if multi:
             resident[bi, region, module] = True
-            if eviction not in ("lru", "lfu"):
+            if eviction is None:
                 clock = clock + miss
                 metric_arr[bi, region, module] = np.where(
                     miss, clock, metric_arr[bi, region, module]
@@ -267,8 +316,10 @@ def _vector_noprefetch(
                 candidates = resident[ob, orr].copy()
                 candidates[np.arange(len(ob)), om] = False  # keep the new module
                 key = metric_arr[ob, orr] * (n_modules + 1) + rank_arr[orr]
-                key = np.where(candidates, key, huge)
-                victim = key.argmin(axis=1)
+                if belady:
+                    victim = np.where(candidates, key, -1).argmax(axis=1)
+                else:
+                    victim = np.where(candidates, key, huge).argmin(axis=1)
                 resident[ob, orr, victim] = False
                 counters[ob, _I_EVICTIONS] += 1
                 if eviction == "lru":
@@ -302,8 +353,9 @@ def _vector_onselect(
     loaded = np.zeros((n_boards, n_regions), dtype=np.int64)
     bi = np.arange(n_boards)
     if recorder is not None:
+        # each speculative transfer starts at t_sel + latency
         recorder.mode = "onselect"
-        recorder.port_offset_ns = 0  # recorded loads are pure transfers
+        recorder.latency_ns = latency_ns
     for step in range(steps):
         gap = gaps[:, step]
         region = regs[:, step]
@@ -323,8 +375,8 @@ def _vector_onselect(
         if recorder is not None:
             # arrays already exist for this step (see _vector_noprefetch);
             # hits are same | late == ~early, and every ~same step runs
-            # one speculative transfer of ``load`` through the port
-            recorder.record_step(t_req, stall, early, same, load)
+            # one speculative transfer of ``load`` from ``t + latency``
+            recorder.record_step(t_req, stall, early, same, load, t)
         t = np.where(early, spec_end, t_req)
         loaded[bi, region] = module
     return counters, t
@@ -419,7 +471,7 @@ class _BoardSim:
         self.last = 0
         # telemetry event sinks (shared across the fleet's boards): demand
         # completions as (t_req, stall_ns, hit) and port transfers as
-        # (end_ns, duration_ns).  None = telemetry off, zero appends.
+        # (start_ns, duration_ns).  None = telemetry off, zero appends.
         self.tel_demands, self.tel_port = telemetry if telemetry else (None, None)
 
     # -- event plumbing ----------------------------------------------------
@@ -617,9 +669,10 @@ class _BoardSim:
         job = region.job
         assert job is not None
         if self.tel_port is not None:
-            # the transfer that just released the port, attributed to its
-            # end window (demand and speculative loads alike)
-            self.tel_port.append((now, self.load_ns[(region.name, job.module)]))
+            # the transfer that just released the port, attributed to the
+            # window it started in (demand and speculative loads alike)
+            duration = self.load_ns[(region.name, job.module)]
+            self.tel_port.append((now - duration, duration))
         # 1. the region process's post-load bookkeeping (urgent completion)
         previous = region.loaded
         if not self.multi and region.unclaimed is not None and region.unclaimed == previous:
@@ -688,6 +741,48 @@ class _BoardSim:
 # ---------------------------------------------------------------------------
 
 
+def _run_vector_core(
+    config: "FleetConfig",
+    traffic: FleetTraffic,
+    arch: ReconfigArchitecture,
+    mode: str,
+    recorder=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``traffic`` through the vector core ``mode``.
+
+    Returns the core's ``(boards, COUNTER_FIELDS)`` counter matrix and the
+    per-board end times.
+    """
+    bundle = get_bundle(config.policy)
+    region_map = config.region_map()
+    load_ns = _load_table(config, arch, region_map)
+    n_modules = max(len(mods) for mods in region_map.values())
+    load_arr = np.zeros((len(region_map), n_modules), dtype=np.int64)
+    rank_arr = np.zeros((len(region_map), n_modules), dtype=np.int64)
+    for r, (name, modules) in enumerate(region_map.items()):
+        for i, module in enumerate(modules):
+            load_arr[r, i] = load_ns[(name, module)]
+        for rank, module in enumerate(sorted(modules)):
+            rank_arr[r, modules.index(module)] = rank
+    gaps, regs, mods = traffic.gaps, traffic.regions, traffic.modules
+    latency_ns = arch.request_latency_ns
+    if mode == "onselect":
+        return _vector_onselect(
+            gaps, regs, mods, load_arr=load_arr, latency_ns=latency_ns,
+            recorder=recorder,
+        )
+    slots = config.region_slots if config.region_slots is not None else bundle.region_slots
+    return _vector_noprefetch(
+        gaps, regs, mods,
+        slots=slots,
+        eviction=bundle.eviction_name,
+        load_arr=load_arr,
+        rank_arr=rank_arr,
+        latency_ns=latency_ns,
+        recorder=recorder,
+    )
+
+
 def simulate_fast_fleet(
     config: "FleetConfig",
     traffic: FleetTraffic,
@@ -712,40 +807,13 @@ def simulate_fast_fleet(
     deferred to the recorder's flush, so the simulated outcome is
     bit-identical with or without it.
     """
-    bundle = get_bundle(config.policy)
     region_map = config.region_map()
     untraced = config.n_boards - min(config.trace_boards, config.n_boards)
     traffic.check(region_map, untraced, config.requests_per_board)
-    latency_ns = arch.request_latency_ns
-    load_ns = _load_table(config, arch, region_map)
     mode = vector_mode(config.policy, config.region_slots)
-    slots = config.region_slots if config.region_slots is not None else bundle.region_slots
     n_boards = traffic.n_boards
     if mode is not None and n_boards:
-        n_modules = max(len(mods) for mods in region_map.values())
-        load_arr = np.zeros((len(region_map), n_modules), dtype=np.int64)
-        rank_arr = np.zeros((len(region_map), n_modules), dtype=np.int64)
-        for r, (name, modules) in enumerate(region_map.items()):
-            for i, module in enumerate(modules):
-                load_arr[r, i] = load_ns[(name, module)]
-            for rank, module in enumerate(sorted(modules)):
-                rank_arr[r, modules.index(module)] = rank
-        gaps, regs, mods = traffic.gaps, traffic.regions, traffic.modules
-        if mode == "onselect":
-            counters, ends = _vector_onselect(
-                gaps, regs, mods, load_arr=load_arr, latency_ns=latency_ns,
-                recorder=recorder,
-            )
-        else:
-            counters, ends = _vector_noprefetch(
-                gaps, regs, mods,
-                slots=slots,
-                eviction=bundle.eviction_name,
-                load_arr=load_arr,
-                rank_arr=rank_arr,
-                latency_ns=latency_ns,
-                recorder=recorder,
-            )
+        counters, ends = _run_vector_core(config, traffic, arch, mode, recorder)
         rows = [ManagerStats.from_counters(row).to_dict() for row in counters]
         end_times = [int(e) for e in ends]
         stats = FastRunStats(
@@ -755,6 +823,8 @@ def simulate_fast_fleet(
             vector_steps=traffic.steps,
         )
         return rows, end_times, stats
+    latency_ns = arch.request_latency_ns
+    load_ns = _load_table(config, arch, region_map)
     rows = []
     end_times = []
     telemetry = (
@@ -763,10 +833,7 @@ def simulate_fast_fleet(
     )
     for board in range(n_boards):
         schedule = traffic.schedule(board)
-        future = future_from_schedule(schedule) if bundle.needs_future else None
-        runtime_policy = create_policy(
-            config.policy, future=future, region_slots=config.region_slots
-        )
+        runtime_policy = create_policy(config.policy, region_slots=config.region_slots)
         sim = _BoardSim(
             schedule, runtime_policy, region_map, latency_ns, load_ns,
             telemetry=telemetry,

@@ -206,12 +206,21 @@ class FleetTelemetryRecorder:
     hit — the full request-latency distribution, so p99 covers misses),
     ``fleet.port_busy_ns`` transfer occupancy, and the derived
     ``fleet.port_util`` gauge (busy ns / window ns / boards).
+
+    Port occupancy counts pure transfer time (no request latency, no port
+    wait) and attributes each transfer to the window it *started* in: at
+    ``t_req + latency`` on the no-prefetch cores, at the previous
+    completion plus latency on the on-select core, and at the recorded
+    start on the scalar micro-simulator.  The kernel bridge
+    (:func:`repro.obs.bridge.record_trace_telemetry`) folds the builder's
+    ``reconfig`` spans the same way, so both engines report the same
+    ``fleet.port_busy_ns`` series.
     """
 
     def __init__(self):
         #: vector-core batches of *raw* step arrays, captured by reference.
         #: No-prefetch cores record ``(t_req, miss, duration)``; on-select
-        #: cores record ``(t_req, stall, early, same, load)`` and set
+        #: cores record ``(t_req, stall, early, same, load, t_sel)`` and set
         #: :attr:`mode`.  Everything else — stalls, hit masks, port
         #: occupancy — is derived from these in bulk at the store's first
         #: read.  Keeping the retained set minimal matters: every
@@ -227,12 +236,13 @@ class FleetTelemetryRecorder:
         self.compact_every: int = 64
         #: which vector core produced :attr:`_steps` (set by the core)
         self.mode: str = "noprefetch"
-        #: subtracted from recorded durations (the no-prefetch core hands
-        #: over ``latency + transfer`` durations it computed anyway)
-        self.port_offset_ns: int = 0
+        #: request latency ahead of every vector-core transfer (set by the
+        #: core): transfers start that long after the request, and the
+        #: no-prefetch core's recorded durations include it
+        self.latency_ns: int = 0
         #: scalar-board demand completions: (t_req, stall_ns, hit)
         self.scalar_demands: list[tuple] = []
-        #: scalar-board port transfers: (end_ns, duration_ns)
+        #: scalar-board port transfers: (start_ns, duration_ns)
         self.scalar_port: list[tuple] = []
 
     def record_step(self, *arrays) -> None:
@@ -263,7 +273,7 @@ class FleetTelemetryRecorder:
         if not steps and not scalar_demands and not scalar_port:
             return
         mode = self.mode
-        offset = self.port_offset_ns
+        latency = self.latency_ns
         denominator = float(store.window) * max(n_boards, 1)
         cache: dict = {}
 
@@ -283,18 +293,19 @@ class FleetTelemetryRecorder:
                     hits = ~_cat([s[2] for s in steps])  # same | late
                     port_mask = ~_cat([s[3] for s in steps])  # every ~same
                     port_v = _cat([s[4] for s in steps])[port_mask]
+                    port_t = _cat([s[5] for s in steps])[port_mask] + latency
                 else:
                     miss = _cat([s[1] for s in steps])
                     duration = _cat([s[2] for s in steps])
                     stall = np.where(miss, duration, 0)
                     hits = ~miss
-                    port_mask = miss
-                    port_v = duration[miss] - offset
+                    port_v = duration[miss] - latency
+                    port_t = t[miss] + latency
                 parts_t.append(t)
                 parts_stall.append(stall)
                 parts_hit_t.append(t[hits])
                 keep = port_v > 0
-                parts_port_t.append(t[port_mask][keep])
+                parts_port_t.append(port_t[keep])
                 parts_port_v.append(port_v[keep])
             if scalar_demands:
                 events = np.asarray(scalar_demands, dtype=np.int64)

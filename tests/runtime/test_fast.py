@@ -24,6 +24,7 @@ from repro.runtime import (
     simulate_fast_fleet,
     vector_mode,
 )
+from repro.runtime.fast import _run_vector_core
 
 ALL_POLICIES = policy_names()
 
@@ -124,6 +125,55 @@ def test_engines_agree_on_lexicographic_name_ties():
         )
 
 
+def test_belady_never_ties_match_the_kernel():
+    """About 12 thrash requests over 11 modules leave most resident
+    modules never demanded again, so overflow mostly picks among several
+    ``NEVER`` candidates.  Which of them goes cannot show in any counter;
+    what parity pins is that ``NEVER`` outranks every real next use and
+    that each module's next use starts at its first demand."""
+    for seed in (0, 3, 7):
+        _, fast = _parity(
+            FleetConfig(
+                n_boards=6,
+                requests_per_board=12,
+                policy="belady",
+                modules_per_region=11,
+                region_slots=3,
+                traffic="thrash",
+                seed=seed,
+            )
+        )
+        assert fast.engine_stats.mode == "vector:noprefetch-belady"
+        assert fast.totals["evictions"] > 0
+
+
+@pytest.mark.parametrize("policy", VECTORIZED)
+@pytest.mark.parametrize("traffic", ["poisson", "thrash"])
+def test_vector_cores_conserve_demands(policy, traffic):
+    """Conservation laws, as reductions over the core's counter matrix:
+    without prefetch every demand is a load, an instant hit or a resident
+    hit; on-select claims every speculative load with its own demand.
+    Neither core can waste a prefetch."""
+    arch = case_a_standalone()
+    mode = vector_mode(policy)
+    for seed in (0, 11):
+        config = FleetConfig(n_boards=5, requests_per_board=60, policy=policy,
+                             traffic=traffic, seed=seed)
+        counters, _ = _run_vector_core(
+            config, generate_fleet_schedules(config), arch, mode
+        )
+        column = {name: counters[:, i] for i, name in enumerate(COUNTER_FIELDS)}
+        assert (column["demand_requests"] == config.requests_per_board).all()
+        assert not column["wasted_prefetches"].any()
+        if mode == "onselect":
+            assert (column["prefetch_loads"] == column["useful_prefetches"]).all()
+        else:
+            assert (
+                column["demand_requests"]
+                == column["demand_loads"] + column["instant_hits"] + column["resident_hits"]
+            ).all()
+
+
 def test_engines_agree_on_empty_fleet():
     _parity(FleetConfig(n_boards=2, requests_per_board=0, policy="none"))
 
@@ -157,12 +207,15 @@ def test_vector_mode_dispatch_table():
     assert vector_mode("on_select") == "onselect"
     assert vector_mode("lru") == "noprefetch-lru"
     assert vector_mode("lfu") == "noprefetch-lfu"
+    # clairvoyance is a precomputed next-use table on the no-prefetch core
+    assert vector_mode("belady") == "noprefetch-belady"
+    assert vector_mode("belady", 3) == "noprefetch-belady"
     # one slot makes eviction bookkeeping unobservable: plain sequential core
     assert vector_mode("lru", 1) == "noprefetch-single"
-    # speculation and clairvoyance resist vectorization -> scalar micro-sim
+    assert vector_mode("belady", 1) == "noprefetch-single"
+    # idle-time speculation resists vectorization -> scalar micro-sim
     assert vector_mode("history") is None
     assert vector_mode("markov") is None
-    assert vector_mode("belady") is None
     # a multi-slot override on a prefetching bundle falls back too
     assert vector_mode("fixed", 2) is None
 

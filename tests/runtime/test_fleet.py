@@ -3,6 +3,8 @@
 import dataclasses
 import random
 
+import pytest
+
 from repro.reconfig import case_a_standalone
 from repro.runtime import (
     Board,
@@ -170,3 +172,26 @@ def test_telemetry_never_perturbs_the_digest():
         )
         hits = sum(b["instant_hits"] + b["resident_hits"] for b in bare.boards)
         assert store.total("fleet.hits", policy=policy) == hits
+
+
+@pytest.mark.parametrize(
+    "policy",
+    ["none", "fixed", "lru", "lfu", "belady", "history", "confidence", "markov"],
+)
+@pytest.mark.parametrize("mean_gap_ns", [2_000, 200_000])
+def test_port_occupancy_agrees_across_engines(policy, mean_gap_ns):
+    """One port-occupancy convention: every transfer's pure duration lands
+    in the window it started in, whether the fast engine's recorder or the
+    kernel trace bridge (the builder's reconfig spans) records it."""
+    from repro.obs.telemetry import TimeSeriesStore
+
+    config = FleetConfig(n_boards=3, requests_per_board=40, policy=policy,
+                         mean_gap_ns=mean_gap_ns, seed=1)
+    series = {}
+    for engine, trace_boards in (("fast", 0), ("kernel", config.n_boards)):
+        store = TimeSeriesStore(window=1_000_000, clock="sim")
+        run_fleet(dataclasses.replace(config, trace_boards=trace_boards),
+                  engine=engine, telemetry=store)
+        series[engine] = store.series("fleet.port_busy_ns", policy=policy)
+    assert series["fast"], "no port occupancy recorded"
+    assert series["fast"] == series["kernel"]
