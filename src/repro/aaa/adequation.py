@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Type
 
-from repro.aaa.costs import CostModel
+from repro.aaa.costs import CompiledTables, CostModel
 from repro.aaa.mapping import MappingConstraints
 from repro.aaa.recon_aware import ReconfigAwareScheduler
 from repro.aaa.schedule import Schedule
@@ -64,18 +64,23 @@ def adequate(
     scheduler: Type[ListSchedulerBase] = ReconfigAwareScheduler,
     reconfig_ns: Optional[dict[str, int]] = None,
     validate: bool = True,
+    tables: Optional[CompiledTables] = None,
     **scheduler_kwargs,
 ) -> AdequationResult:
     """Run the full adequation: validate, schedule, check the result.
 
     ``scheduler`` selects the heuristic (default: the reconfiguration-aware
     extension); ``reconfig_ns`` installs per-region reconfiguration
-    latencies (from the floorplan) into the cost model.
+    latencies (from the floorplan) into the cost model.  ``tables`` reuses
+    the static tables an earlier run on the same ``(graph, architecture,
+    library)`` compiled (``result.costs.tables``); without it the run
+    compiles its own.  The produced schedule is the same either way, and it
+    is validated either way.
     """
     if validate:
         validate_graph(graph, library)
         architecture.validate()
-    costs = CostModel(graph, architecture, library, reconfig_ns=reconfig_ns)
+    costs = CostModel(graph, architecture, library, reconfig_ns=reconfig_ns, tables=tables)
     sched_obj = scheduler(costs, constraints, **scheduler_kwargs)
     schedule = sched_obj.run()
     schedule.validate(graph, architecture)

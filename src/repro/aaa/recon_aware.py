@@ -46,7 +46,8 @@ class ReconfigAwareScheduler(SynDExScheduler):
         super().__init__(costs, constraints)
         self.prefetch = prefetch
         #: (operation name, operator name) -> control-word arrival time; the
-        #: selector never moves once placed, so this is a constant per pair.
+        #: selector never moves once placed, so this is a constant per pair
+        #: within a run (the word's transfer time is compiled per board).
         self._select_ready_cache: dict[tuple[str, str], int] = {}
 
     # -- selector availability -----------------------------------------------------
@@ -64,8 +65,9 @@ class ReconfigAwareScheduler(SynDExScheduler):
             # The implicit selector->conditioned-op precedence guarantees this
             # never happens during run(); be conservative if called directly.
             return 0
-        route = self.costs.route(sel_placed.operator, operator)
-        value = sel_placed.end + route.transfer_ns(SELECT_WORD_BYTES)
+        value = sel_placed.end + self._tables.transfer_ns(
+            sel_placed.operator, operator, SELECT_WORD_BYTES
+        )
         self._select_ready_cache[key] = value
         return value
 

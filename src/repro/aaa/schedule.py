@@ -358,17 +358,38 @@ class Schedule:
         # Reconfigurations targeting different cases of one group belong to
         # mutually exclusive iterations, so they (and the other case's
         # computations) may legitimately overlap in the schedule template.
+        # Both checks sweep the sorted per-operator timelines, so a valid
+        # schedule costs O(R + S) per operator.
         for operator in architecture.dynamic_operators():
-            recs = self.reconfigs_of(operator)
-            for i, a in enumerate(recs):
-                for b in recs[i + 1 :]:
-                    if _overlap(a.start, a.end, b.start, b.end) and a.condition_value == b.condition_value:
-                        problems.append(
-                            f"reconfigurations to {a.module!r} and {b.module!r} overlap "
-                            f"on {operator.name!r}"
-                        )
+            recs = self._recs_by_operator.get(operator.name, ())
+            if not recs:
+                continue
+            by_case: dict[Hashable, list[ScheduledReconfig]] = {}
             for r in recs:
-                for s in self.of_operator(operator):
+                by_case.setdefault(r.condition_value, []).append(r)
+            for same_case in by_case.values():
+                for i, a in enumerate(same_case):
+                    for j in range(i + 1, len(same_case)):
+                        b = same_case[j]
+                        if b.start >= a.end:
+                            break  # starts are sorted: no later b reaches a
+                        if _overlap(a.start, a.end, b.start, b.end):
+                            problems.append(
+                                f"reconfigurations to {a.module!r} and {b.module!r} overlap "
+                                f"on {operator.name!r}"
+                            )
+            timeline = self._by_operator.get(operator.name, ())
+            # ``active`` holds the operations that started before the current
+            # reconfiguration ends and are still busy when it starts; an
+            # operation that ended by then cannot reach any later one either.
+            active: list[ScheduledOp] = []
+            nxt = 0
+            for r in recs:
+                while nxt < len(timeline) and timeline[nxt].start < r.end:
+                    active.append(timeline[nxt])
+                    nxt += 1
+                active = [s for s in active if s.end > r.start]
+                for s in active:
                     if _overlap(r.start, r.end, s.start, s.end):
                         cond = s.op.condition
                         if cond is not None and cond.value != r.condition_value:

@@ -22,7 +22,13 @@ O(n³ log n) over the whole run.  The machinery here is now incremental:
 - candidate :class:`Placement`\\ s are **memoized across commit steps** with
   dirty-set invalidation: committing an operation only invalidates cached
   placements that touch the committed operator, the media its transfers
-  used, or the operation itself.
+  used, or the operation itself;
+- whatever depends on ``(graph, architecture, library)`` alone — durations,
+  routes and per-hop transfer templates, the precedence map with its
+  implicit conditioning edges, the topological order and the tail ranks —
+  is read from the cost model's :class:`~repro.aaa.costs.CompiledTables`,
+  built once and shared by every run on the same board, so a run supplies
+  only its pins and reconfiguration latencies.
 
 Every cached value is a pure function of state that the dirty sets track,
 so the produced schedules are **byte-identical** to the original
@@ -39,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-from repro.aaa.costs import CostModel
+from repro.aaa.costs import CondKey, CostModel
 from repro.aaa.mapping import MappingConstraints
 from repro.aaa.schedule import Schedule, ScheduledOp, ScheduledReconfig, ScheduledTransfer
 from repro.arch.operator import Operator
@@ -47,10 +53,6 @@ from repro.dfg.graph import AlgorithmGraph
 from repro.dfg.operations import Operation
 
 __all__ = ["Placement", "SchedulerStats", "ListSchedulerBase", "SynDExScheduler"]
-
-#: Condition key of an operation: ``None`` or ``(group name, case value)``.
-CondKey = Optional[tuple[str, Hashable]]
-
 
 def _excl(a: CondKey, b: CondKey) -> bool:
     """Exclusivity on condition keys (mirrors ``AlgorithmGraph.exclusive``)."""
@@ -107,11 +109,10 @@ class ListSchedulerBase:
         self.schedule = Schedule()
         self.stats = SchedulerStats()
         self._placed: dict[str, ScheduledOp] = {}
+        #: the board's compiled static tables (shared across runs; read-only).
+        self._tables = costs.tables
         #: operation name -> condition key (factored exclusivity index).
-        self._cond: dict[str, CondKey] = {
-            op.name: (op.condition.group, op.condition.value) if op.condition else None
-            for op in self.graph.operations
-        }
+        self._cond: dict[str, CondKey] = self._tables.cond
         #: operator name -> condition key -> max committed end.
         self._op_frontier: dict[str, dict[CondKey, int]] = {}
         #: medium name -> (src cond key, dst cond key) -> max committed end.
@@ -121,11 +122,11 @@ class ListSchedulerBase:
         #: (operation name, operator name) -> (placement, media it read).
         self._placement_cache: dict[tuple[str, str], tuple[Placement, frozenset[str]]] = {}
         self._candidates_cache: dict[str, list[Operator]] = {}
-        #: (operation name, operator name) -> static communication plan: the
-        #: predecessor ends, routes and per-hop durations are fixed once the
-        #: predecessors are placed (and they always are before the operation
-        #: becomes ready), so each re-evaluation only folds the current
-        #: medium frontiers over a precomputed hop list.
+        #: (operation name, operator name) -> communication plan: the
+        #: predecessor ends plus the compiled hop templates of the routes
+        #: from their operators, fixed once the predecessors are placed (and
+        #: they always are before the operation becomes ready), so each
+        #: re-evaluation only folds the current medium frontiers over them.
         self._comm_plan: dict[
             tuple[str, str], tuple[tuple[tuple[int, tuple], ...], frozenset[str], int]
         ] = {}
@@ -133,10 +134,8 @@ class ListSchedulerBase:
         #: exactly while none of the operation's cached placements has been
         #: invalidated (pressure is a pure function of those placements).
         self._pressure_cache: dict[str, int] = {}
-        #: one topological sort per run — the graph is frozen during
-        #: scheduling, so ranks, ready-list seeding and selection order can
-        #: share it.
-        self._topo: list[Operation] = list(self.graph.topological_order())
+        #: one topological order, compiled with the board's tables.
+        self._topo: list[Operation] = self._tables.topo
 
     # -- timeline helpers ------------------------------------------------------
 
@@ -158,27 +157,23 @@ class ListSchedulerBase:
         """Freeze everything about ``(op, operator)`` that cannot change.
 
         Every predecessor is placed before ``op`` becomes ready and is never
-        moved, so per in-edge the producer end, the route, the per-hop
-        transfer durations and the condition keys are all constants; the
-        only live inputs of a placement evaluation are the medium/operator
-        frontiers.  The plan also records the read media (for the dirty-set
-        invalidation) and the execution duration."""
+        moved, so per in-edge the producer end and the hop template of the
+        route from its operator (compiled once per board) are constants;
+        the only live inputs of a placement evaluation are the
+        medium/operator frontiers.  The plan also records the read media
+        (for the dirty-set invalidation) and the execution duration."""
+        tables = self._tables
         entries: list[tuple[int, tuple]] = []
-        read_media: set[str] = set()
-        for edge in self.graph.in_edges(op):
+        read_media: frozenset[str] = frozenset()
+        for edge_id, edge in tables.in_edges[op.name]:
             src = self._placed[edge.src.name]
             if src.operator.name == operator.name:
                 entries.append((src.end, ()))
                 continue
-            src_ck = self._cond.get(edge.src.name)
-            dst_ck = self._cond.get(edge.dst.name)
-            size = edge.size_bytes
-            hops = []
-            for hop, medium in enumerate(self.costs.route(src.operator, operator).media):
-                hops.append((edge, medium, medium.name, medium.transfer_ns(size), src_ck, dst_ck, hop))
-                read_media.add(medium.name)
-            entries.append((src.end, tuple(hops)))
-        plan = (tuple(entries), frozenset(read_media), self.costs.duration(op, operator))
+            hops, media = tables.hops(edge_id, edge, src.operator, operator)
+            read_media |= media
+            entries.append((src.end, hops))
+        plan = (tuple(entries), read_media, tables.duration(op, operator))
         self._comm_plan[(op.name, operator.name)] = plan
         return plan
 
@@ -311,57 +306,18 @@ class ListSchedulerBase:
             pressures.pop(key[0], None)
         pressures.pop(committed, None)
 
-    # -- ranks ---------------------------------------------------------------------
+    # -- compiled precedence and ranks ------------------------------------------
 
     def _tail_ranks(self) -> dict[str, int]:
-        """Remaining critical path *after* each operation (best-case durations)."""
-        tail: dict[str, int] = {}
-        for op in reversed(self._topo):
-            best = 0
-            for succ in self.graph.successors(op):
-                best = max(best, self.costs.best_duration(succ) + tail[succ.name])
-            tail[op.name] = best
-        return tail
-
-    # -- driver ----------------------------------------------------------------------
+        """Remaining critical path after each operation (compiled per board)."""
+        return self._tables.tails
 
     def _successor_map(self) -> dict[str, list[Operation]]:
-        """Data successors plus the implicit conditioning edges.
+        """Data successors plus the implicit selector precedences (compiled
+        per board; see :attr:`repro.aaa.costs.CompiledTables.successors`)."""
+        return self._tables.successors
 
-        A conditioned operation cannot start before its group's selector has
-        produced the condition value — and neither can the *producers that
-        feed* the conditioned alternatives, because their sends are routed
-        by the very same value (the executive's conditional ``send_`` guards
-        on it).  Both become implicit selector→X precedences, skipping any X
-        that is an ancestor of the selector (cycle guard)."""
-        succs: dict[str, list[Operation]] = {
-            op.name: list(self.graph.successors(op)) for op in self.graph.operations
-        }
-
-        def ancestors_of(op: Operation) -> set[str]:
-            seen: set[str] = set()
-            stack = [op]
-            while stack:
-                current = stack.pop()
-                for pred in self.graph.predecessors(current):
-                    if pred.name not in seen:
-                        seen.add(pred.name)
-                        stack.append(pred)
-            return seen
-
-        for group in self.graph.condition_groups.values():
-            selector = group.selector
-            blocked = ancestors_of(selector) | {selector.name}
-            targets: dict[str, Operation] = {}
-            for case_op in group.operations:
-                targets.setdefault(case_op.name, case_op)
-                for producer in self.graph.predecessors(case_op):
-                    targets.setdefault(producer.name, producer)
-            existing = {s.name for s in succs[selector.name]}
-            for name, op in targets.items():
-                if name not in blocked and name not in existing:
-                    succs[selector.name].append(op)
-        return succs
+    # -- driver ----------------------------------------------------------------------
 
     def run(self) -> Schedule:
         """Schedule every operation; returns the completed schedule."""

@@ -15,15 +15,20 @@ actually running the decision stack it encodes:
    latency estimate;
 3. **scheduling** — the incremental
    :class:`~repro.aaa.recon_aware.ReconfigAwareScheduler` re-schedules the
-   graph with the state's pins and latencies (the fast re-evaluation PR 3
-   built is exactly what makes this inner loop affordable);
+   graph with the state's pins and latencies, on the static tables the
+   first run on the same board compiled
+   (:class:`~repro.aaa.costs.CompiledTables`); the result is memoized by
+   ``(region count, assignment, sorted per-region latencies)``, everything
+   the schedule depends on, so a floorplan move that keeps every latency
+   re-uses the schedule instead of re-running the adequation;
 4. **boundary** — every region boundary is priced with
    :func:`repro.fabric.busmacro.boundary_cost` (monotone in crossing bits,
    heterogeneous-column premium).
 
 The total is a weighted sum in nanoseconds.  Evaluations are pure functions
-of ``(space, architecture, weights, state)`` and are memoized two ways: a
-per-evaluator dict, and — when a content-addressed
+of ``(space, architecture, weights, state)`` and are memoized two ways (on
+top of the schedule memo above): a per-evaluator dict, and — when a
+content-addressed
 :class:`~repro.flows.pipeline.ArtifactCache` is supplied — a shared tier
 keyed by fingerprint, so repeat evaluations across searches (or across
 processes via the disk tier) are free.
@@ -111,6 +116,9 @@ class EvaluatorStats:
     computed: int = 0
     memo_hits: int = 0
     cache_hits: int = 0
+    #: Computed states whose schedule came from the schedule memo (a state
+    #: that differs from an earlier one only in spans of equal latency).
+    schedule_hits: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -118,6 +126,7 @@ class EvaluatorStats:
             "computed": self.computed,
             "memo_hits": self.memo_hits,
             "cache_hits": self.cache_hits,
+            "schedule_hits": self.schedule_hits,
         }
 
 
@@ -137,7 +146,14 @@ class CostEvaluator:
         self.cache = cache
         self.stats = EvaluatorStats()
         self._memo: dict[str, CostBreakdown] = {}
+        #: (region count, assignment, sorted latencies) -> (makespan, reconfig
+        #: busy time, reconfigurations): the schedule is a pure function of
+        #: those, so floorplan moves that keep every latency reuse it.
+        self._schedules: dict[tuple, tuple[int, int, int]] = {}
         self._boards: dict[int, Board] = {}
+        #: region count -> the board's compiled scheduler tables, taken from
+        #: the first adequation run on that board.
+        self._tables: dict[int, object] = {}
         self._latency_by_span: dict[tuple[int, int], int] = {}
         self._space_fp = fingerprint(
             "search_space",
@@ -239,22 +255,7 @@ class CostEvaluator:
                 )
 
         # 3. Scheduling with the state's pins and floorplan-derived latencies.
-        board = self._board_for(state.n_regions)
-        constraints = MappingConstraints()
-        for op_idx, region in enumerate(state.assign):
-            constraints.pin(space.movable_ops[op_idx], space.region_name(region))
-        result = adequate(
-            space.graph,
-            board.architecture,
-            space.library,
-            constraints=constraints,
-            scheduler=ReconfigAwareScheduler,
-            reconfig_ns=reconfig_ns,
-            validate=False,
-        )
-        makespan_ns = result.makespan_ns
-        reconfigs = result.schedule.reconfigs
-        reconfig_busy_ns = sum(r.duration for r in reconfigs)
+        makespan_ns, reconfig_busy_ns, n_reconfigs = self._schedule(state, reconfig_ns)
 
         w = self.weights
         penalty_ns = w.penalty_unit_ns * penalty_units
@@ -274,8 +275,37 @@ class CostEvaluator:
             penalty_units=penalty_units,
             violations=tuple(violations),
             n_regions=state.n_regions,
-            n_reconfigs=len(reconfigs),
+            n_reconfigs=n_reconfigs,
         )
+
+    def _schedule(self, state: SearchState, reconfig_ns: dict[str, int]) -> tuple[int, int, int]:
+        """``(makespan, reconfiguration busy time, reconfigurations)`` of the
+        state's schedule, memoized on everything the schedule depends on."""
+        n_regions = state.n_regions
+        key = (n_regions, state.assign, tuple(sorted(reconfig_ns.items())))
+        scheduled = self._schedules.get(key)
+        if scheduled is not None:
+            self.stats.schedule_hits += 1
+            return scheduled
+        space = self.space
+        constraints = MappingConstraints()
+        for op_idx, region in enumerate(state.assign):
+            constraints.pin(space.movable_ops[op_idx], space.region_name(region))
+        result = adequate(
+            space.graph,
+            self._board_for(n_regions).architecture,
+            space.library,
+            constraints=constraints,
+            scheduler=ReconfigAwareScheduler,
+            reconfig_ns=reconfig_ns,
+            validate=False,
+            tables=self._tables.get(n_regions),
+        )
+        self._tables.setdefault(n_regions, result.costs.tables)
+        reconfigs = result.schedule.reconfigs
+        scheduled = (result.makespan_ns, sum(r.duration for r in reconfigs), len(reconfigs))
+        self._schedules[key] = scheduled
+        return scheduled
 
     # -- pieces ------------------------------------------------------------------
 

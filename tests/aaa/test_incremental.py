@@ -13,12 +13,14 @@ equality) checks that pin the supporting bookkeeping down.
 
 import pickle
 
+import numpy as np
 import pytest
 from oracles.scheduler import naive
 
 from repro.aaa import (
     EarliestFinishScheduler,
     InsertionScheduler,
+    MappingConstraints,
     RandomMappingScheduler,
     ReconfigAwareScheduler,
     Schedule,
@@ -26,15 +28,17 @@ from repro.aaa import (
     SynDExScheduler,
     adequate,
 )
-from repro.aaa.costs import CostModel
-from repro.aaa.schedule import ScheduledOp
+from repro.aaa.costs import CompiledTables, CostModel
+from repro.aaa.schedule import ScheduledOp, ScheduledReconfig
 from repro.arch import sundance_board
 from repro.dfg.generators import (
     conditioned_chain_graph,
     fork_join_graph,
     layered_random_graph,
+    multiregion_graph,
 )
 from repro.dfg.library import default_library
+from repro.search import SearchSpace
 
 BOARD = sundance_board()
 LIBRARY = default_library()
@@ -93,6 +97,65 @@ def test_random_mapping_matches_naive_digest():
         fast_schedule, _ = _run(graph, RandomMappingScheduler)
         naive_schedule, _ = _run(graph, naive(RandomMappingScheduler))
         assert fast_schedule.digest() == naive_schedule.digest()
+
+
+def _pinned_cases(space, seed, steps):
+    """Neighbor-chain states of every region count, each with random
+    per-region latencies (zero included, which skips the reconfiguration)
+    and some static operations pinned to a random feasible static operator,
+    so one edge's producer lands on operators with different routes."""
+    rng = np.random.default_rng(seed)
+    static = [op for op in space.graph.operations if not op.is_conditioned]
+    for k in range(1, space.max_regions + 1):
+        state = space.initial_state(k)
+        arch = sundance_board(n_dynamic=k).architecture
+        costs = CostModel(space.graph, arch, LIBRARY)
+        for _ in range(steps):
+            constraints = MappingConstraints()
+            for op_idx, region in enumerate(state.assign):
+                constraints.pin(space.movable_ops[op_idx], space.region_name(region))
+            for op in static:
+                hosts = [p.name for p in costs.candidates(op) if not p.is_reconfigurable]
+                if len(hosts) > 1 and rng.random() < 0.4:
+                    constraints.pin(op, str(rng.choice(hosts)))
+            reconfig_ns = {
+                space.region_name(r): int(rng.choice([0, 1, 250_000, 1_700_000, 6_000_000]))
+                for r in range(state.n_regions)
+            }
+            yield state.n_regions, constraints, reconfig_ns
+            state = space.neighbor(state, rng)
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+def test_pinned_runs_on_shared_tables_match_naive_digest(prefetch):
+    """Search-shaped runs: pins and floorplan latencies vary per run while
+    the product reuses one compiled table set per board; the reference
+    re-derives every route, duration and rank itself on a fresh model."""
+    graph = multiregion_graph(3, 2)
+    space = SearchSpace(graph, LIBRARY)
+    boards = {k: sundance_board(n_dynamic=k) for k in range(1, space.max_regions + 1)}
+    tables = {k: CompiledTables(graph, b.architecture, LIBRARY) for k, b in boards.items()}
+    runs = 0
+    for k, constraints, reconfig_ns in _pinned_cases(space, seed=3 + prefetch, steps=8):
+        arch = boards[k].architecture
+        product = ReconfigAwareScheduler(
+            CostModel(graph, arch, LIBRARY, reconfig_ns, tables=tables[k]),
+            constraints,
+            prefetch=prefetch,
+        )
+        reference = naive(ReconfigAwareScheduler)(
+            CostModel(graph, arch, LIBRARY, reconfig_ns), constraints, prefetch=prefetch
+        )
+        fast_schedule, naive_schedule = product.run(), reference.run()
+        fast_schedule.validate(graph, arch)
+        assert fast_schedule.digest() == naive_schedule.digest(), (k, reconfig_ns)
+        assert product.stats.placements_requested == reference.stats.placements_evaluated
+        assert (
+            product.stats.placements_requested
+            == product.stats.placements_evaluated + product.stats.placement_cache_hits
+        )
+        runs += 1
+    assert runs == 8 * space.max_regions
 
 
 # -- placement-evaluation regression guard ------------------------------------
@@ -173,6 +236,50 @@ def test_validator_flags_start_tied_overlap():
     with pytest.raises(ScheduleValidationError) as err:
         schedule.validate(graph, BOARD.architecture)
     assert any("overlap" in p for p in err.value.problems)
+
+
+def _dynamic_timeline_fixture():
+    """fork_join_graph(8) run back to back on the dynamic operator D1:
+    src, b0..b7, sink at [100 i, 100 i + 50)."""
+    graph = fork_join_graph(8)
+    d1 = BOARD.architecture.operator("D1")
+    order = ["src"] + [f"b{i}" for i in range(8)] + ["sink"]
+    by_name = {op.name: op for op in graph.operations}
+    ops = [
+        ScheduledOp(op=by_name[name], operator=d1, start=100 * i, end=100 * i + 50)
+        for i, name in enumerate(order)
+    ]
+    return graph, d1, ops
+
+
+def test_validator_flags_reconfiguration_overlapping_only_the_last_operation():
+    """The reconfiguration sweep must not lose the timeline's tail: among
+    many operations only the last one is hit, after an earlier clean
+    reconfiguration in a gap."""
+    graph, d1, ops = _dynamic_timeline_fixture()
+    recs = [
+        ScheduledReconfig(operator=d1, module="m", condition_value=0, start=60, end=90),
+        ScheduledReconfig(operator=d1, module="m", condition_value=0, start=920, end=960),
+    ]
+    schedule = Schedule(ops=ops, reconfigs=recs)
+    with pytest.raises(ScheduleValidationError) as err:
+        schedule.validate(graph, BOARD.architecture)
+    assert err.value.problems == ["reconfiguration to 'm' overlaps operation 'sink' on 'D1'"]
+
+
+def test_validator_ignores_zero_length_reconfiguration_at_window_boundary():
+    """Zero-length reconfigurations occupy no time: one at an operation's
+    end, one at a same-case reconfiguration's start, and a same-case pair
+    that only touches, are all legal."""
+    graph, d1, ops = _dynamic_timeline_fixture()
+    recs = [
+        ScheduledReconfig(operator=d1, module="m", condition_value=0, start=60, end=60),
+        ScheduledReconfig(operator=d1, module="m", condition_value=0, start=60, end=100),
+        ScheduledReconfig(operator=d1, module="m", condition_value=0, start=150, end=150),
+        ScheduledReconfig(operator=d1, module="m", condition_value=0, start=250, end=300),
+        ScheduledReconfig(operator=d1, module="m", condition_value=0, start=300, end=300),
+    ]
+    Schedule(ops=ops, reconfigs=recs).validate(graph, BOARD.architecture)  # must not raise
 
 
 def test_validator_sees_raw_list_mutations():
@@ -258,3 +365,31 @@ def test_unpickled_graph_exclusivity_is_preserved():
     assert clone.exclusive(ops["alt0"], ops["alt1"])
     assert not clone.exclusive(ops["alt0"], ops["alt0"])
     assert not clone.exclusive(ops["select"], ops["alt0"])
+
+
+def test_adequation_result_pickles_the_same_on_warm_tables():
+    """Compiled tables are derived state: a result scheduled on tables that
+    earlier runs warmed pickles to the same bytes as one scheduled on a
+    fresh model, and the unpickled model compiles its own tables."""
+    graph = multiregion_graph(2, 2)
+    arch = sundance_board(n_dynamic=2).architecture
+    warm = CompiledTables(graph, arch, LIBRARY)
+    pins = MappingConstraints().pin("g0_alt0", "D2").pin("g1_alt1", "D1")
+    for latency in (0, 900_000, 3_000_000):
+        adequate(graph, arch, LIBRARY, reconfig_ns={"D1": latency, "D2": latency}, tables=warm)
+    reconfig_ns = {"D1": 1_250_000, "D2": 2_500_000}
+    on_warm = adequate(graph, arch, LIBRARY, pins, reconfig_ns=reconfig_ns, tables=warm)
+    on_fresh = adequate(graph, arch, LIBRARY, pins, reconfig_ns=reconfig_ns)
+    assert on_warm.costs.tables is warm
+    assert pickle.dumps(on_warm) == pickle.dumps(on_fresh)
+    clone = pickle.loads(pickle.dumps(on_warm))
+    assert clone.costs.tables is not warm
+    assert clone.schedule.digest() == on_fresh.schedule.digest()
+    assert clone.costs.reconfig_ns == reconfig_ns
+
+
+def test_foreign_tables_are_rejected():
+    graph = multiregion_graph(2, 2)
+    tables = CompiledTables(graph, sundance_board(n_dynamic=2).architecture, LIBRARY)
+    with pytest.raises(ValueError):
+        CostModel(graph, sundance_board(n_dynamic=1).architecture, LIBRARY, tables=tables)

@@ -2,8 +2,11 @@
 
 This is how the schedulers worked before their timelines were indexed: every
 timeline query re-filters and re-sorts the whole committed schedule, every
-candidate placement re-derives its routes, and nothing is cached across
-commit steps.  It reproduces that behaviour (and its cost) verbatim, so the
+candidate placement re-derives its routes and durations, and nothing is
+cached across commit steps.  The reference reads none of the cost model's
+compiled tables: routes come from the architecture, durations from the
+library, and the precedence map, tail ranks and candidate lists are
+re-derived on every run.  It reproduces that behaviour (and its cost) verbatim, so the
 byte-identity tests (``tests/aaa/test_incremental.py``) and the scaling
 benchmark (``benchmarks/bench_scheduler_scaling.py``) compare the product
 against the true original, not an accidentally index-accelerated hybrid.
@@ -71,6 +74,56 @@ class NaiveScheduling:
             ready = max(ready, t.end)
         return ready
 
+    # -- static inputs, re-derived instead of read from compiled tables --------
+
+    def _naive_duration(self, op: Operation, operator: Operator) -> int:
+        return operator.duration_ns(self.costs.library.cycles(op.kind, operator.operator_class))
+
+    def _candidates(self, op: Operation) -> list[Operator]:
+        return [
+            p
+            for p in self.costs.architecture.operators
+            if self.costs.can_map(op, p) and self.constraints.allows(op, p)
+        ]
+
+    def _tail_ranks(self) -> dict[str, int]:
+        tail: dict[str, int] = {}
+        for op in reversed(self.graph.topological_order()):
+            best = 0
+            for succ in self.graph.successors(op):
+                fastest = min(
+                    self._naive_duration(succ, p)
+                    for p in self.costs.architecture.operators
+                    if self.costs.can_map(succ, p)
+                )
+                best = max(best, fastest + tail[succ.name])
+            tail[op.name] = best
+        return tail
+
+    def _successor_map(self) -> dict[str, list[Operation]]:
+        """Data successors plus the implicit selector -> (alternative or
+        alternative's producer) precedences, minus the selector's ancestors."""
+        succs = {op.name: list(self.graph.successors(op)) for op in self.graph.operations}
+        for group in self.graph.condition_groups.values():
+            selector = group.selector
+            blocked = {selector.name}
+            stack = [selector]
+            while stack:
+                for pred in self.graph.predecessors(stack.pop()):
+                    if pred.name not in blocked:
+                        blocked.add(pred.name)
+                        stack.append(pred)
+            targets: dict[str, Operation] = {}
+            for case_op in group.operations:
+                targets.setdefault(case_op.name, case_op)
+                for producer in self.graph.predecessors(case_op):
+                    targets.setdefault(producer.name, producer)
+            existing = {s.name for s in succs[selector.name]}
+            for name, op in targets.items():
+                if name not in blocked and name not in existing:
+                    succs[selector.name].append(op)
+        return succs
+
     # -- placement: re-derive routes, rescan timelines, cache nothing ----------
 
     def _try_place(self, op: Operation, operator: Operator) -> Placement:
@@ -83,7 +136,7 @@ class NaiveScheduling:
             if src.operator.name == operator.name:
                 data_ready = max(data_ready, src.end)
                 continue
-            route = self.costs.route(src.operator, operator)
+            route = self.costs.architecture.route(src.operator, operator)
             t = src.end
             for hop, medium in enumerate(route.media):
                 ready = max(
@@ -100,7 +153,7 @@ class NaiveScheduling:
             data_ready = max(data_ready, t)
         raw_start = self._earliest_start(op, operator, data_ready)
         start, reconfig = self._setup_for(op, operator, raw_start)
-        end = start + self.costs.duration(op, operator)
+        end = start + self._naive_duration(op, operator)
         return Placement(
             op=op, operator=operator, start=start, end=end, transfers=transfers, reconfig=reconfig
         )
@@ -126,7 +179,7 @@ class NaiveScheduling:
         sel_placed = self._placed.get(group.selector.name)
         if sel_placed is None:
             return 0
-        route = self.costs.route(sel_placed.operator, operator)
+        route = self.costs.architecture.route(sel_placed.operator, operator)
         return sel_placed.end + route.transfer_ns(SELECT_WORD_BYTES)
 
     def _region_free_for_reconfig(self, op: Operation, operator: Operator) -> int:
@@ -142,7 +195,7 @@ class NaiveInsertion(NaiveScheduling):
     """The gap sweep over a freshly filtered and sorted operator timeline."""
 
     def _earliest_start(self, op: Operation, operator: Operator, data_ready: int) -> int:
-        duration = self.costs.duration(op, operator)
+        duration = self._naive_duration(op, operator)
         timeline = self._naive_of_operator(operator.name)
         busy = [(s.start, s.end) for s in timeline if not self.graph.exclusive(op, s.op)]
         t = data_ready

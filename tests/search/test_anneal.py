@@ -81,6 +81,17 @@ def test_same_seed_means_identical_digest(space, seed):
     assert a.digest() == b.digest()
 
 
+def test_search_digest_is_pinned():
+    """A committed trajectory, not only same-run determinism: changes to the
+    scheduler, the objective or its memos must leave this search unchanged."""
+    from repro.flows.designspace import search_multiregion
+
+    report = search_multiregion(multiregion_graph(2, 2), default_library(), budget=60, seed=0)
+    assert report.result.digest() == "d4264a9dd2c8c9a6"
+    assert report.searched.total_ns == 4_368_355.0
+    assert report.result.best_state.key() == "k2|a[0,0,1,1]|p[37+2;28+2]"
+
+
 def test_different_seeds_usually_differ(space):
     digests = {run(space, method="random", budget=20, seed=s).digest() for s in range(4)}
     assert len(digests) > 1

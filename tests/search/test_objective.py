@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.dfg.generators import multiregion_graph
@@ -135,3 +136,49 @@ def test_whole_device_span_has_no_boundary(space):
     cost = ev.evaluate(whole)
     assert any("whole device" in v for v in cost.violations)
     assert cost.boundary_cost_ns == 0
+
+
+def _walk(space, seed=5, steps=45):
+    """A seeded evaluation order for one long-lived evaluator: neighbor
+    chains from every region count, interleaved so the board changes from
+    one state to the next, with degenerate spans and revisits mixed in."""
+    rng = np.random.default_rng(seed)
+    chains = []
+    for k in range(1, space.max_regions + 1):
+        state, chain = space.initial_state(k), []
+        for _ in range(steps):
+            chain.append(state)
+            state = space.neighbor(state, rng)
+        chains.append(chain)
+    cols = space.device.clb_cols
+    degenerate = [
+        SearchState(assign=(0, 0, 1, 1), placements=((10, 0), (20, 2))),
+        SearchState(assign=(0, 0, 0, 0), placements=((0, cols),)),
+        SearchState(assign=(0, 1, 0, 1), placements=((0, cols), (12, 0))),
+        SearchState(assign=(0, 1, 2, 3), placements=((4, 0), (8, 2), (0, cols), (30, 2))),
+    ]
+    order = []
+    for step in range(steps):
+        order.extend(chain[step] for chain in chains)
+        if step % 10 == 0:
+            order.extend(degenerate)
+        if step % 3 == 0:
+            order.extend(order[i] for i in rng.integers(0, len(order), size=2))
+    return order
+
+
+def test_long_lived_evaluator_matches_fresh_evaluators(space):
+    """Neither the schedule memo nor the per-board compiled tables may leak
+    one state's pins or latencies into another's price."""
+    ev = CostEvaluator(space)
+    states = _walk(space)
+    assert len(states) >= 200
+    assert {s.n_regions for s in states} == set(range(1, space.max_regions + 1))
+    for state in states:
+        assert ev.evaluate(state) == CostEvaluator(space).evaluate(state), state.key()
+    stats = ev.stats
+    assert stats.schedule_hits > 0
+    assert stats.memo_hits > 0
+    assert stats.requested == len(states)
+    assert stats.requested == stats.computed + stats.memo_hits + stats.cache_hits
+    assert stats.schedule_hits < stats.computed
