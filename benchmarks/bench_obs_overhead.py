@@ -97,9 +97,6 @@ STORE_RECORDERS = (
     "counter_add",
     "gauge_set",
     "observe",
-    "counter_add_array",
-    "observe_array",
-    "gauge_add_array",
     "defer_array",
 )
 

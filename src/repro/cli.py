@@ -463,6 +463,20 @@ def _fleet_slo_rules(args) -> list:
     return rules
 
 
+def _slo_verdict(monitor, breaches: list) -> tuple[int, str]:
+    """The SLO outcome as ``(exit code, summary line)``.
+
+    3 on any breach; 2 when nothing breached but some rule judged no
+    window at all — a gate that saw no data has not passed; else 0.
+    """
+    if breaches:
+        return 3, f"{len(breaches)} SLO breach(es)"
+    idle = [name for name, judged in monitor.windows_judged.items() if not judged]
+    if idle:
+        return 2, f"SLO: no window judged by rule(s) {', '.join(idle)}"
+    return 0, f"SLO: {len(monitor.rules)} rule(s), no breaches"
+
+
 def _redraw(out, text: str) -> None:
     """Repaint a live dashboard: clear-screen only when ``out`` is a tty."""
     if getattr(out, "isatty", lambda: False)():
@@ -550,10 +564,12 @@ def _cmd_fleet(args, out) -> int:
         print(f"wrote telemetry {telemetry_path} ({rows} rows)", file=out)
     if args.json:
         payload = {name: report.to_dict() for name, report in reports.items()}
+        code = 0
         if monitor is not None and monitor.rules:
             payload["slo_breaches"] = [breach.to_dict() for breach in breaches]
+            code, payload["slo_verdict"] = _slo_verdict(monitor, breaches)
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 3 if breaches else 0
+        return code
     for report in reports.values():
         print(report.summary(), file=out)
     print(file=out)
@@ -569,9 +585,9 @@ def _cmd_fleet(args, out) -> int:
             print(file=out)
             for breach in breaches:
                 print(f"SLO BREACH: {breach.describe()}", file=out)
-            print(f"{len(breaches)} SLO breach(es)", file=out)
-            return 3
-        print(f"SLO: {len(monitor.rules)} rule(s), no breaches", file=out)
+        code, verdict = _slo_verdict(monitor, breaches)
+        print(verdict, file=out)
+        return code
     return 0
 
 
@@ -580,7 +596,9 @@ def _cmd_tail(args, out) -> int:
 
     One-shot by default (read, render, exit — safe for CI and pipes);
     ``--follow`` re-reads and repaints whenever the file grows, the
-    ``top``-style view of a run writing telemetry elsewhere.
+    ``top``-style view of a run writing telemetry elsewhere.  One-shot
+    runs with ``--slo-*`` rules exit like ``fleet``: 3 on a breach, 2 when
+    a rule judged no window.
     """
     import time as _time
 
@@ -604,7 +622,8 @@ def _cmd_tail(args, out) -> int:
             except ValueError as err:
                 print(f"error: {path}: {err}", file=out)
                 return 2
-            breaches = SloMonitor(store, _fleet_slo_rules(args)).evaluate()
+            monitor = SloMonitor(store, _fleet_slo_rules(args))
+            breaches = monitor.evaluate()
             _redraw(
                 out,
                 render_dashboard(
@@ -616,7 +635,11 @@ def _cmd_tail(args, out) -> int:
                 ),
             )
         if not args.follow:
-            return 0
+            if not monitor.rules:
+                return 0
+            code, verdict = _slo_verdict(monitor, breaches)
+            print(verdict, file=out)
+            return code
         try:
             _time.sleep(args.interval)
         except KeyboardInterrupt:  # pragma: no cover - interactive only
@@ -893,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument(
         "--engine", choices=ENGINES, default="fast",
         help="fleet engine: 'fast' (batched array-state, default) or "
-        "'kernel' (reference event path); outcomes are digest-identical",
+        "'kernel' (reference event path); digests and telemetry are identical",
     )
     p_fleet.add_argument("--json", action="store_true", help="emit reports as JSON")
     p_fleet.add_argument(

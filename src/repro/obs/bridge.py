@@ -11,6 +11,11 @@
   into a :class:`~repro.obs.telemetry.TimeSeriesStore` as run totals: one
   counter per numeric field, recorded at ``t=0`` (the hub's ``"run"``
   domain).
+
+Windowed fleet telemetry does not pass through here: every fleet board,
+kernel-run or traced ones included, reports its demands and transfers to
+:class:`~repro.runtime.fleet.FleetTelemetryRecorder` as it runs, so a trace
+is never folded into a store after the fact.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from repro.obs.tracer import Span, SpanContext, new_trace_id
 
 __all__ = [
     "spans_from_sim_trace",
-    "record_trace_telemetry",
     "record_counts",
     "record_manager_stats",
     "record_fleet_stats",
@@ -85,44 +89,6 @@ def spans_from_sim_trace(
             )
         )
     return out
-
-
-def record_trace_telemetry(store, trace, **labels) -> int:
-    """Windowed telemetry from a (closed) sim-kernel trace.
-
-    This is the DES kernel's road into the time-series layer: the kernel
-    already records everything as :class:`repro.sim.Trace` spans, so
-    instead of hooking the manager's hot path we fold the trace's load and
-    residency intervals into a sim-clock
-    :class:`~repro.obs.telemetry.TimeSeriesStore` after the run:
-
-    - ``fleet.loads`` — counter per window of load *starts*, labeled by
-      span kind (``load`` = demand, ``prefetch`` = speculative);
-    - ``fleet.reconfig_ns`` — quantile sketch of load durations (the p99
-      reconfiguration-latency SLO input; port wait included), window of
-      the start time;
-    - ``fleet.port_busy_ns`` — configuration-port occupancy from the
-      builder's ``reconfig`` spans: pure transfer time, attributed to the
-      window the transfer started in (after any port wait).  That is the
-      fast engine's convention (see
-      :class:`~repro.runtime.fleet.FleetTelemetryRecorder`), so both
-      engines report the same series.
-
-    Extra ``labels`` (typically ``policy=...``) apply to every series.
-    Returns the number of load/prefetch spans folded in.  Close the trace
-    first (``trace.close_open``) — open spans have no duration yet.
-    """
-    folded = 0
-    for span in trace.spans:
-        if span.kind == "reconfig":
-            store.counter_add("fleet.port_busy_ns", span.start, span.duration, **labels)
-            continue
-        if span.kind not in ("load", "prefetch"):
-            continue
-        store.counter_add("fleet.loads", span.start, 1, kind=span.kind, **labels)
-        store.observe("fleet.reconfig_ns", span.start, span.duration, **labels)
-        folded += 1
-    return folded
 
 
 def record_counts(store: TimeSeriesStore, prefix: str, values: Mapping[str, object]) -> None:

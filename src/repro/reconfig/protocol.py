@@ -38,6 +38,8 @@ class LoadOutcome:
     region: str
     module: str
     size_bytes: int
+    #: when the transfer took the port (after any wait for it)
+    start_ns: int
     duration_ns: int
 
 
@@ -140,6 +142,7 @@ class ProtocolConfigurationBuilder:
                 region=region,
                 module=module,
                 size_bytes=entry.size_bytes,
+                start_ns=start,
                 duration_ns=self.sim.now - start,
             )
             self.loads.append(outcome)

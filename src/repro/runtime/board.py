@@ -113,16 +113,24 @@ class Board:
 
     # -- fleet driving -------------------------------------------------------
 
-    def start(self, schedule: Sequence[tuple[int, str, str]]) -> None:
+    def start(
+        self,
+        schedule: Sequence[tuple[int, str, str]],
+        demands: Optional[list] = None,
+    ) -> None:
         """Spawn the request-driver process for a pre-generated schedule.
 
         The process replays ``(gap_ns, region, module)`` requests against the
         configuration manager; the caller runs the shared kernel once all
-        boards are started.
+        boards are started.  With a ``demands`` list, every completed
+        request appends ``(t_req, stall_ns, hit)`` to it — the demand
+        events of :class:`~repro.runtime.fleet.FleetTelemetryRecorder`.
         """
-        self.sim.process(self._drive(schedule), name=f"drive:{self.name}")
+        self.sim.process(self._drive(schedule, demands), name=f"drive:{self.name}")
 
-    def _drive(self, schedule: Sequence[tuple[int, str, str]]) -> Generator:
+    def _drive(
+        self, schedule: Sequence[tuple[int, str, str]], demands: Optional[list]
+    ) -> Generator:
         sim, manager = self.sim, self.manager
         for gap_ns, region, module in schedule:
             # The Select register is written when the request is *known*,
@@ -131,7 +139,14 @@ class Board:
             manager.notify_select(region, module)
             if gap_ns:
                 yield sim.timeout(gap_ns)
+            if demands is None:
+                yield manager.ensure_loaded(region, module)
+                continue
+            t_req = sim.now
+            hits = manager.stats.instant_hits + manager.stats.resident_hits
             yield manager.ensure_loaded(region, module)
+            hit = manager.stats.instant_hits + manager.stats.resident_hits > hits
+            demands.append((t_req, sim.now - t_req, hit))
         self.done_at_ns = sim.now
 
     # -- results -------------------------------------------------------------

@@ -828,7 +828,7 @@ def simulate_fast_fleet(
     rows = []
     end_times = []
     telemetry = (
-        (recorder.scalar_demands, recorder.scalar_port)
+        (recorder.demands, recorder.port)
         if recorder is not None else None
     )
     for board in range(n_boards):

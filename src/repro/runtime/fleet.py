@@ -21,6 +21,10 @@ Two engines produce that outcome:
   engines.  With ``trace_boards > 0`` the first boards still run through a
   kernel subset so their trace lanes keep full event fidelity.
 
+Whichever path runs a board — vector core, scalar micro-simulator or
+kernel — it reports into the same :class:`FleetTelemetryRecorder` event
+lists, so the telemetry store is identical across engines too.
+
 ``run_frontier`` replays the *same* seeded traffic against several policy
 bundles — traffic is generated once and shared across policies, since it
 depends only on ``(seed, board_id, traffic)``.
@@ -187,12 +191,19 @@ class FleetReport:
         }
 
 
+#: Vector-core step batches a :class:`FleetTelemetryRecorder` holds before
+#: compacting them; a handful of ~kB arrays stay out of numpy's buffer reuse
+#: at any time instead of thousands.
+COMPACT_EVERY = 64
+
+
 class FleetTelemetryRecorder:
-    """Low-overhead telemetry collector for the fast engine.
+    """Low-overhead fleet telemetry collector, shared by every board path.
 
     The vector cores hand over *references* to arrays they compute anyway
-    each step (no derived arrays are built in the step loop) and the
-    scalar micro-simulator appends plain tuples; :meth:`flush` then hands
+    each step (no derived arrays are built in the step loop); the scalar
+    micro-simulator and kernel-run boards append plain tuples to
+    :attr:`demands` and :attr:`port`.  :meth:`flush` then hands
     lazy batch closures to a
     :class:`~repro.obs.telemetry.TimeSeriesStore`'s write-behind buffer,
     so all concatenation and windowed aggregation runs at the store's
@@ -211,10 +222,8 @@ class FleetTelemetryRecorder:
     wait) and attributes each transfer to the window it *started* in: at
     ``t_req + latency`` on the no-prefetch cores, at the previous
     completion plus latency on the on-select core, and at the recorded
-    start on the scalar micro-simulator.  The kernel bridge
-    (:func:`repro.obs.bridge.record_trace_telemetry`) folds the builder's
-    ``reconfig`` spans the same way, so both engines report the same
-    ``fleet.port_busy_ns`` series.
+    start on the scalar micro-simulator and the kernel (the builder's
+    :class:`~repro.reconfig.protocol.LoadOutcome` ``start_ns``).
     """
 
     def __init__(self):
@@ -227,29 +236,26 @@ class FleetTelemetryRecorder:
         #: referenced array blocks numpy's buffer reuse for the whole run,
         #: which is most of the telemetry overhead the ≤5% guard measures.
         #: :meth:`record_step` therefore compacts every
-        #: :attr:`compact_every` batches into one concatenated batch and
+        #: :data:`COMPACT_EVERY` batches into one concatenated batch and
         #: releases the small per-step arrays back to the allocator.
         self._steps: list[tuple] = []
         self._n_small = 0
-        #: per-step batches held before a compaction pass; a handful of
-        #: ~kB arrays stay out of reuse at any time instead of thousands
-        self.compact_every: int = 64
         #: which vector core produced :attr:`_steps` (set by the core)
         self.mode: str = "noprefetch"
         #: request latency ahead of every vector-core transfer (set by the
         #: core): transfers start that long after the request, and the
         #: no-prefetch core's recorded durations include it
         self.latency_ns: int = 0
-        #: scalar-board demand completions: (t_req, stall_ns, hit)
-        self.scalar_demands: list[tuple] = []
-        #: scalar-board port transfers: (start_ns, duration_ns)
-        self.scalar_port: list[tuple] = []
+        #: per-event demand completions: (t_req, stall_ns, hit)
+        self.demands: list[tuple] = []
+        #: per-event port transfers: (start_ns, duration_ns)
+        self.port: list[tuple] = []
 
     def record_step(self, *arrays) -> None:
         steps = self._steps
         steps.append(arrays)
         self._n_small += 1
-        if self._n_small >= self.compact_every:
+        if self._n_small >= COMPACT_EVERY:
             tail = steps[-self._n_small:]
             del steps[-self._n_small:]
             steps.append(tuple(np.concatenate(cols) for cols in zip(*tail)))
@@ -268,9 +274,9 @@ class FleetTelemetryRecorder:
         """
         steps, self._steps = self._steps, []
         self._n_small = 0
-        scalar_demands, self.scalar_demands = self.scalar_demands, []
-        scalar_port, self.scalar_port = self.scalar_port, []
-        if not steps and not scalar_demands and not scalar_port:
+        demands, self.demands = self.demands, []
+        port, self.port = self.port, []
+        if not steps and not demands and not port:
             return
         mode = self.mode
         latency = self.latency_ns
@@ -307,13 +313,13 @@ class FleetTelemetryRecorder:
                 keep = port_v > 0
                 parts_port_t.append(port_t[keep])
                 parts_port_v.append(port_v[keep])
-            if scalar_demands:
-                events = np.asarray(scalar_demands, dtype=np.int64)
+            if demands:
+                events = np.asarray(demands, dtype=np.int64)
                 parts_t.append(events[:, 0])
                 parts_stall.append(events[:, 1])
                 parts_hit_t.append(events[:, 0][events[:, 2].astype(bool)])
-            if scalar_port:
-                events = np.asarray(scalar_port, dtype=np.int64)
+            if port:
+                events = np.asarray(port, dtype=np.int64)
                 keep = events[:, 1] > 0
                 parts_port_t.append(events[:, 0][keep])
                 parts_port_v.append(events[:, 1][keep])
@@ -379,6 +385,7 @@ def _build_kernel_board(
     index: int,
     schedule: list[tuple[int, str, str]],
     traced: bool,
+    demands: Optional[list],
 ) -> Board:
     bundle = get_bundle(config.policy)
     future = future_from_schedule(schedule) if bundle.needs_future else None
@@ -402,7 +409,7 @@ def _build_kernel_board(
     # boards start warm and the first request is not always a miss.
     for region, modules in region_map.items():
         board.preload(region, modules[0])
-    board.start(schedule)
+    board.start(schedule, demands)
     return board
 
 
@@ -410,19 +417,29 @@ def _run_kernel_boards(
     config: FleetConfig,
     arch: ReconfigArchitecture,
     traffic: FleetTraffic,
+    recorder: Optional[FleetTelemetryRecorder],
 ) -> tuple[list[Board], Simulator]:
-    """Build and run the first ``len(traffic)`` boards on one shared kernel."""
+    """Build and run the first ``len(traffic)`` boards on one shared kernel.
+
+    With a ``recorder``, each board's driver appends its demand events and
+    the builders' completed transfers become its port events.
+    """
     region_map = config.region_map()
     sim = Simulator()
+    demands = recorder.demands if recorder is not None else None
     boards = [
         _build_kernel_board(
             config, sim, arch, region_map,
             index, traffic.schedule(index),
             traced=index < config.trace_boards,
+            demands=demands,
         )
         for index in range(len(traffic))
     ]
     sim.run()
+    if recorder is not None:
+        for board in boards:
+            recorder.port.extend((o.start_ns, o.duration_ns) for o in board.builder.loads)
     return boards, sim
 
 
@@ -441,11 +458,11 @@ def run_fleet(
     ``config``, or ``ValueError`` is raised.
 
     ``telemetry`` is an optional sim-clock
-    :class:`~repro.obs.telemetry.TimeSeriesStore`: the fast engine records
-    windowed per-policy hit/stall/port series through
-    :class:`FleetTelemetryRecorder` (flushed per step-batch, digest parity
-    untouched), and any kernel-run traced boards contribute load-latency
-    and residency series via the obs trace bridge.
+    :class:`~repro.obs.telemetry.TimeSeriesStore`: every board, whichever
+    path runs it, records windowed per-policy hit/stall/port series
+    through one :class:`FleetTelemetryRecorder`, flushed once per run.
+    The store is identical across engines and trace settings, and the
+    digest is untouched.
     """
     get_bundle(config.policy)  # fail fast on unknown names
     engine = engine if engine is not None else config.engine
@@ -459,8 +476,9 @@ def run_fleet(
     else:
         schedules.check(config.region_map(), config.n_boards, config.requests_per_board)
     engine_stats: Optional[FastRunStats] = None
+    recorder = FleetTelemetryRecorder() if telemetry is not None else None
     if engine == "kernel":
-        boards, sim = _run_kernel_boards(config, arch, schedules)
+        boards, sim = _run_kernel_boards(config, arch, schedules, recorder)
         per_board = [board.stats.to_dict() for board in boards]
         end_time_ns = sim.now
         open_traces = [board.trace for board in boards if board.trace is not None]
@@ -470,32 +488,24 @@ def run_fleet(
         traced_end = 0
         if traced:
             traced_boards, traced_sim = _run_kernel_boards(
-                config, arch, schedules[:traced]
+                config, arch, schedules[:traced], recorder
             )
             traced_end = traced_sim.now
-        recorder = FleetTelemetryRecorder() if telemetry is not None else None
         fast_rows, fast_ends, engine_stats = simulate_fast_fleet(
             config, schedules[traced:], arch, recorder=recorder
         )
-        if recorder is not None:
-            recorder.flush(telemetry, policy=config.policy, n_boards=config.n_boards)
         per_board = [board.stats.to_dict() for board in traced_boards] + fast_rows
         end_time_ns = max([traced_end, *fast_ends]) if (traced or fast_ends) else 0
         open_traces = [b.trace for b in traced_boards if b.trace is not None]
+    if recorder is not None:
+        recorder.flush(telemetry, policy=config.policy, n_boards=config.n_boards)
     wall_s = time.perf_counter() - t0
     totals: dict[str, int] = {}
     for stats in per_board:
         for key, value in stats.items():
             totals[key] = totals.get(key, 0) + value
-    traces = []
     for trace in open_traces:
         trace.close_open(end_time_ns)
-        traces.append(trace)
-    if telemetry is not None and traces:
-        from repro.obs.bridge import record_trace_telemetry
-
-        for trace in traces:
-            record_trace_telemetry(telemetry, trace, policy=config.policy)
     return FleetReport(
         policy=config.policy,
         traffic=config.traffic,
@@ -506,7 +516,7 @@ def run_fleet(
         wall_s=wall_s,
         boards=per_board,
         totals=totals,
-        traces=traces,
+        traces=open_traces,
         engine=engine,
         engine_stats=engine_stats,
     )

@@ -1,10 +1,10 @@
 """Windowed time-series store, write-behind array path, SLOs, the hub.
 
 The store's contract has two halves this file pins down separately: the
-*scalar* recording path aggregates eagerly, and the *array* path is a
-write-behind buffer — references (or zero-argument batch closures) are
-captured at record time and the windowed aggregation runs at first read.
-Both must produce identical windows.
+*scalar* recording path aggregates eagerly, and the *array* path
+(``defer_array``) is a write-behind buffer — zero-argument batch closures
+are captured at record time, and their validation and the windowed
+aggregation run at first read.  Both must produce identical windows.
 """
 
 import io
@@ -26,6 +26,11 @@ def _mixed_store(**kwargs):
     return TimeSeriesStore(window=100, **kwargs)
 
 
+def _defer(store, name, kind, t, values=None, **labels):
+    """Record ready-made arrays through the lazy ``defer_array`` path."""
+    store.defer_array(name, kind, lambda: (t, values), **labels)
+
+
 # -- scalar/array equivalence ----------------------------------------------
 
 
@@ -42,9 +47,9 @@ def test_array_paths_match_scalar_paths_exactly():
         scalar.observe("lat", ti, li)
 
     vector = _mixed_store()
-    vector.counter_add_array("hits", t)
-    vector.counter_add_array("bytes", t, weights)
-    vector.observe_array("lat", t, latencies)
+    _defer(vector, "hits", "counter", t)
+    _defer(vector, "bytes", "counter", t, weights)
+    _defer(vector, "lat", "quantile", t, latencies)
 
     assert vector.series("hits") == scalar.series("hits")
     assert vector.series("bytes") == scalar.series("bytes")
@@ -56,7 +61,7 @@ def test_array_paths_match_scalar_paths_exactly():
 def test_interleaved_scalar_and_array_counter_updates_accumulate():
     store = _mixed_store()
     store.counter_add("n", 5)
-    store.counter_add_array("n", np.asarray([10, 110, 110]))
+    _defer(store, "n", "counter", np.asarray([10, 110, 110]))
     store.counter_add("n", 120)
     assert store.series("n") == [(0, 2), (1, 3)]
     assert store.total("n") == 5
@@ -64,7 +69,7 @@ def test_interleaved_scalar_and_array_counter_updates_accumulate():
 
 def test_gauge_add_array_sums_contributions_per_window():
     store = _mixed_store()
-    store.gauge_add_array("util", np.asarray([10, 20, 150]), np.asarray([0.25, 0.25, 1.0]))
+    _defer(store, "util", "gauge", np.asarray([10, 20, 150]), np.asarray([0.25, 0.25, 1.0]))
     assert dict(store.series("util")) == pytest.approx({0: 0.5, 1: 1.0})
 
 
@@ -73,7 +78,7 @@ def test_gauge_add_array_sums_contributions_per_window():
 
 def test_array_recording_is_deferred_until_first_read():
     store = _mixed_store()
-    store.counter_add_array("n", np.asarray([1, 2, 3]))
+    _defer(store, "n", "counter", np.asarray([1, 2, 3]))
     series = next(iter(store._series.values()))
     assert series.pending and not series.windows  # buffered, not aggregated
     assert store.total("n") == 3
@@ -102,20 +107,16 @@ def test_defer_array_rejects_unknown_kind_eagerly():
 
 
 def test_deferred_batch_validation_happens_at_materialization():
-    store = _mixed_store()
-    store.defer_array("n", "counter", lambda: (np.asarray([1]), np.asarray([-2])))
-    with pytest.raises(ValueError):
-        store.total("n")
-
-
-def test_array_validation_is_eager_for_direct_arrays():
-    store = _mixed_store()
-    with pytest.raises(ValueError):
-        store.counter_add_array("n", np.asarray([1]), np.asarray([-1]))
-    with pytest.raises(ValueError):
-        store.observe_array("lat", np.asarray([1.0]), np.asarray([np.nan]))
-    with pytest.raises(ValueError):
-        store.counter_add_array("n", np.asarray([1, 2]), np.asarray([1]))
+    bad_batches = [
+        ("counter", [1], [-2]),  # negative increment
+        ("quantile", [1.0], [np.nan]),  # NaN sketch sample
+        ("counter", [1, 2], [1]),  # t/values shape mismatch
+    ]
+    for kind, t, values in bad_batches:
+        store = _mixed_store()
+        _defer(store, "x", kind, np.asarray(t), np.asarray(values))  # accepted
+        with pytest.raises(ValueError):
+            store.series("x")
 
 
 # -- store basics -----------------------------------------------------------
@@ -158,9 +159,10 @@ def test_ring_retention_drops_oldest_windows_and_counts_them():
 
 def test_merge_is_commutative_for_counters_and_sketches():
     def fill(store, offset):
-        store.counter_add_array("n", np.asarray([5, 15, 25]) + offset)
-        store.observe_array(
-            "lat", np.asarray([5, 15]) + offset, np.asarray([10.0, 20.0]) + offset
+        _defer(store, "n", "counter", np.asarray([5, 15, 25]) + offset)
+        _defer(
+            store, "lat", "quantile",
+            np.asarray([5, 15]) + offset, np.asarray([10.0, 20.0]) + offset,
         )
 
     a1, b1 = _mixed_store(), _mixed_store()
@@ -181,9 +183,9 @@ def test_merge_rejects_mixed_window_widths():
 
 def test_jsonl_roundtrip_rebuilds_equivalent_store():
     store = _mixed_store()
-    store.counter_add_array("n", np.asarray([1, 150]), policy="lru")
+    _defer(store, "n", "counter", np.asarray([1, 150]), policy="lru")
     store.gauge_set("depth", 120, 4, pool="workers")
-    store.observe_array("lat", np.asarray([10, 10, 210]), np.asarray([5.0, 7.0, 900.0]))
+    _defer(store, "lat", "quantile", np.asarray([10, 10, 210]), np.asarray([5.0, 7.0, 900.0]))
     buffer = io.StringIO()
     count = store.write_jsonl(buffer)
     assert count == len(store.to_rows())
@@ -239,6 +241,32 @@ def test_ratio_floor_rule_flags_only_qualified_windows():
     assert monitor.windows_judged["hit-rate"] == 2
 
 
+def test_ratio_rule_judges_denominator_windows_without_hits():
+    """A window with demands but zero hits has no numerator entry; the
+    ratio is 0 there, and that is the window a hit-rate floor exists for."""
+    store = _mixed_store()
+    store.counter_add("demands", 0, 2, policy="lru")
+    store.counter_add("demands", 100, 3, policy="lru")
+    store.counter_add("hits", 0, 1, policy="lru")
+    monitor = SloMonitor(
+        store,
+        [SloRule(name="hr", series="hits", kind="floor", threshold=0.4,
+                 denominator="demands")],
+    )
+    breaches = monitor.evaluate()
+    assert [(b.window, b.observed) for b in breaches] == [(1, 0.0)]
+    assert monitor.windows_judged["hr"] == 2
+    # a ratio series with no numerator at all is still judged
+    empty = _mixed_store()
+    empty.counter_add("demands", 0, 4)
+    (breach,) = SloMonitor(
+        empty,
+        [SloRule(name="hr", series="hits", kind="floor", threshold=0.4,
+                 denominator="demands")],
+    ).evaluate()
+    assert breach.observed == 0.0
+
+
 def test_monitor_reports_each_window_once_across_evaluations():
     store = _hit_rate_store()
     monitor = SloMonitor(
@@ -257,8 +285,8 @@ def test_monitor_reports_each_window_once_across_evaluations():
 
 def test_quantile_ceiling_rule_and_up_to_exclusion():
     store = _mixed_store()
-    store.observe_array("lat", np.asarray([10] * 100), np.full(100, 50.0))
-    store.observe_array("lat", np.asarray([110] * 100), np.full(100, 9_000.0))
+    _defer(store, "lat", "quantile", np.asarray([10] * 100), np.full(100, 50.0))
+    _defer(store, "lat", "quantile", np.asarray([110] * 100), np.full(100, 9_000.0))
     monitor = SloMonitor(
         store,
         [SloRule(name="p99", series="lat", kind="ceiling", threshold=1_000.0,

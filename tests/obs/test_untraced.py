@@ -27,9 +27,6 @@ RECORDERS = (
     "counter_add",
     "gauge_set",
     "observe",
-    "counter_add_array",
-    "observe_array",
-    "gauge_add_array",
     "defer_array",
 )
 

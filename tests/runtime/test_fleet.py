@@ -176,22 +176,34 @@ def test_telemetry_never_perturbs_the_digest():
 
 @pytest.mark.parametrize(
     "policy",
-    ["none", "fixed", "lru", "lfu", "belady", "history", "confidence", "markov"],
+    ["none", "fixed", "lru", "lfu", "belady", "history", "confidence", "markov",
+     "on_select"],
 )
 @pytest.mark.parametrize("mean_gap_ns", [2_000, 200_000])
 def test_port_occupancy_agrees_across_engines(policy, mean_gap_ns):
-    """One port-occupancy convention: every transfer's pure duration lands
-    in the window it started in, whether the fast engine's recorder or the
-    kernel trace bridge (the builder's reconfig spans) records it."""
+    """One telemetry path: every board reports to the same recorder, so the
+    whole store — demands, hits, stall sketches, port occupancy and
+    utilization — is row-identical whichever engine runs the boards and
+    however many of them are traced."""
     from repro.obs.telemetry import TimeSeriesStore
 
-    config = FleetConfig(n_boards=3, requests_per_board=40, policy=policy,
-                         mean_gap_ns=mean_gap_ns, seed=1)
-    series = {}
-    for engine, trace_boards in (("fast", 0), ("kernel", config.n_boards)):
-        store = TimeSeriesStore(window=1_000_000, clock="sim")
-        run_fleet(dataclasses.replace(config, trace_boards=trace_boards),
-                  engine=engine, telemetry=store)
-        series[engine] = store.series("fleet.port_busy_ns", policy=policy)
-    assert series["fast"], "no port occupancy recorded"
-    assert series["fast"] == series["kernel"]
+    runs = (("fast", 0), ("fast", 2), ("kernel", 0), ("kernel", 3))
+    for traffic in ("poisson", "thrash"):
+        for region_slots in (None, 2):
+            config = FleetConfig(n_boards=3, requests_per_board=40, policy=policy,
+                                 traffic=traffic, region_slots=region_slots,
+                                 mean_gap_ns=mean_gap_ns, seed=1)
+            rows = {}
+            for engine, trace_boards in runs:
+                store = TimeSeriesStore(window=1_000_000, clock="sim")
+                run_fleet(dataclasses.replace(config, trace_boards=trace_boards),
+                          engine=engine, telemetry=store)
+                rows[engine, trace_boards] = store.to_rows()
+            case = (traffic, region_slots)
+            reference = rows["fast", 0]
+            assert {row.get("name") for row in reference} >= {
+                "fleet.demands", "fleet.stall_ns", "fleet.port_busy_ns",
+                "fleet.port_util",
+            }, case
+            for run, got in rows.items():
+                assert got == reference, (case, run)

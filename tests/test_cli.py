@@ -559,6 +559,52 @@ def test_fleet_telemetry_jsonl_roundtrips_through_tail(tmp_path):
     assert "policy=lru" in text and "p99 stall" in text
 
 
+def test_fleet_telemetry_is_byte_identical_across_engines(tmp_path):
+    """Kernel-run boards report through the same recorder as the fast
+    engine: same JSONL bytes, and the same SLO gate verdict."""
+    streams = {}
+    for engine in ("fast", "kernel"):
+        streams[engine] = tmp_path / f"{engine}.jsonl"
+        code, text = run_cli(
+            "fleet", "--boards", "5", "--requests", "40", "--policy", "lru,history",
+            "--engine", engine, "--telemetry", str(streams[engine]),
+            "--slo-hit-floor", "0.99",
+        )
+        assert code == 3, (engine, text)
+        assert "SLO breach(es)" in text
+    assert streams["fast"].read_bytes() == streams["kernel"].read_bytes()
+
+
+def test_tail_slo_breach_exits_three(tmp_path):
+    stream = tmp_path / "fleet.jsonl"
+    run_cli("fleet", "--boards", "4", "--requests", "30", "--policy", "none",
+            "--telemetry", str(stream))
+    code, text = run_cli("tail", str(stream), "--ascii", "--slo-hit-floor", "1.01")
+    assert code == 3
+    assert "SLO breach(es)" in text
+    code, text = run_cli("tail", str(stream), "--ascii", "--slo-hit-floor", "0.0")
+    assert code == 0
+    assert "no breaches" in text
+
+
+def test_slo_gate_that_judged_nothing_exits_two(tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    code, text = run_cli("tail", str(empty), "--ascii")
+    assert code == 0  # no rules: rendering nothing is fine
+    code, text = run_cli("tail", str(empty), "--ascii", "--slo-hit-floor", "0.5")
+    assert code == 2
+    assert "no window judged by rule(s) hit-rate-floor" in text
+    # every window below --slo-min-count: the floor never judged anything
+    code, text = run_cli(
+        "fleet", "--boards", "4", "--requests", "30", "--policy", "lru",
+        "--slo-hit-floor", "0.0", "--slo-p99-ceiling", "1e12",
+        "--slo-min-count", "1000000",
+    )
+    assert code == 2
+    assert "hit-rate-floor, stall-p99-ceiling" in text
+
+
 def test_tail_missing_and_malformed_files_exit_two(tmp_path):
     code, text = run_cli("tail", str(tmp_path / "nope.jsonl"))
     assert code == 2
