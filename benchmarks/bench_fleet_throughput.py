@@ -6,7 +6,7 @@ The fleet multiplexer now ships two engines over identical semantics:
   (the reference path; traces, cross-board coupling),
 - ``fast`` — the manager state advanced with vectorized per-step updates
   straight from the structure-of-arrays traffic (scalar micro-sim
-  fallback for policies that resist vectorization).
+  fallback for multi-slot prefetch and the boards a core flags).
 
 The benchmark runs the 1,000-board x 1,000-request headline through BOTH
 engines with matched warm-up, best-of-3 walls on shared pre-generated

@@ -12,9 +12,9 @@ Two execution strategies, picked per policy bundle by :func:`vector_mode`:
 
 - **Vectorized cores** hold the whole fleet's manager state as numpy arrays
   (active module per ``(board, region)``, resident sets as boolean cubes,
-  recency/frequency/insertion/next-use tables) and advance all boards one
-  request step at a time.  Closed forms exist wherever the request stream
-  is sequential per board:
+  recency/frequency/insertion/next-use tables, successor counts) and
+  advance all boards one request step at a time.  Closed forms exist
+  wherever the request stream is sequential per board:
 
   * ``noprefetch`` (``none``/``lru``/``lfu``/``belady`` and any
     ``region_slots``): demands never overlap loads, so a step is hit /
@@ -30,14 +30,23 @@ Two execution strategies, picked per policy bundle by :func:`vector_mode`:
     (``t_req > spec_end``: instant hit + useful prefetch).  Both cases were
     derived from — and are property-tested against — the kernel's cascade
     ordering, including the exact-tie ``t_req == spec_end`` join.
+  * ``idle`` (``history``/``confidence``/``markov`` at one slot): the
+    predictor's successor counts are per-board integer tables, each region
+    holds at most one in-flight speculative load, and port grants are
+    reserved eagerly because loads reach the port in the order they
+    start.  A step resolves the demand as an instant hit, a join of the
+    in-flight speculation, a demand load or a demand behind it, then
+    speculates (see :func:`_vector_idle`).  Equal-time events the closed
+    form does not order flag the board, and flagged boards are replayed on
+    the scalar micro-simulator — the core's one escape hatch.
 
-- **The scalar micro-simulator** (:class:`_BoardSim`) covers the remaining
-  bundles: the idle-time speculators (history/confidence/markov) and
-  prefetch with multi-slot overrides.  It is still ~an order of magnitude
-  faster than the kernel: one tiny per-board heap of plain tuples replaces
-  generator processes, mailboxes and resource locks, while the *decision*
-  objects (prefetch policy, eviction policy) are the real registry classes,
-  so there is no second implementation of policy logic to drift.  Event
+- **The scalar micro-simulator** (:class:`_BoardSim`) covers prefetch with
+  multi-slot overrides and the boards the ``idle`` core flags.  It is
+  still ~an order of magnitude faster than the kernel: one tiny per-board
+  heap of plain tuples replaces generator processes, mailboxes and resource
+  locks, while the *decision* objects (prefetch policy, eviction policy) are
+  the real registry classes, so there is no second implementation of policy
+  logic to drift.  Event
   sequence numbers are assigned at the same logical points as the kernel
   assigns its enqueue counters, reproducing every tie-break:
 
@@ -56,8 +65,8 @@ Counter rows use the :data:`~repro.reconfig.manager.COUNTER_FIELDS` layout
 and are rebuilt through :meth:`ManagerStats.from_counters`, so the array
 form and the manager's dataclass can never disagree on field order.
 
-The traffic's shape and region/module vocabulary are checked against the
-config on entry.  Preconditions guaranteed by the fleet driver: size-only
+The traffic's shape, region/module vocabulary, gaps and indices are checked
+against the config on entry.  Preconditions guaranteed by the fleet driver: size-only
 bitstream registration (CRC always verifies), no readback verification, no
 upset injection — the failure/retry counters stay zero on both paths.
 """
@@ -73,7 +82,12 @@ import numpy as np
 
 from repro.reconfig.architectures import ReconfigArchitecture
 from repro.reconfig.manager import COUNTER_FIELDS, ManagerStats
-from repro.reconfig.prefetch import NoPrefetchPolicy, OnSelectPrefetchPolicy
+from repro.reconfig.prefetch import (
+    HistoryPrefetchPolicy,
+    MarkovPrefetchPolicy,
+    NoPrefetchPolicy,
+    OnSelectPrefetchPolicy,
+)
 from repro.runtime.policies import RuntimePolicy, create_policy, get_bundle
 from repro.runtime.traffic import FleetTraffic
 from repro.sim import Simulator
@@ -102,9 +116,10 @@ class FastRunStats:
 
     #: vector core used, or "scalar" when the whole fleet fell back
     mode: str
-    #: boards advanced by a vectorized core
+    #: boards whose outcome a vectorized core produced
     vector_boards: int
-    #: boards advanced by the scalar micro-simulator
+    #: boards run on the scalar micro-simulator: the whole fleet without a
+    #: core, or the boards the core flagged for replay
     scalar_boards: int
     #: per-step vector updates executed (== requests_per_board when vectorized)
     vector_steps: int
@@ -121,12 +136,12 @@ class FastRunStats:
 def vector_mode(policy: str, region_slots: Optional[int] = None) -> Optional[str]:
     """The vector core handling ``policy`` at ``region_slots``, or None.
 
-    None means the bundle's transitions resist vectorization (idle-time
-    speculation whose predictions depend on per-board history, or prefetch
-    with a multi-slot override) and boards run through the scalar
-    micro-simulator.  Every eviction-only bundle, ``belady`` included, has
-    a no-prefetch core; at one slot eviction is unobservable and they all
-    share the plain sequential one.  The class checks are exact
+    Three strategies: every eviction-only bundle, ``belady`` included, has
+    a ``noprefetch-*`` core (at one slot eviction is unobservable and they
+    all share the plain sequential one); announcement prefetch at one slot
+    has ``onselect``; the idle-time speculators at one slot have ``idle``.
+    None means prefetch with a multi-slot override, whose boards run
+    through the scalar micro-simulator.  The class checks are exact
     (``type is``): a subclassed policy may override behaviour the closed
     forms assume, so it falls back safely.
     """
@@ -139,8 +154,12 @@ def vector_mode(policy: str, region_slots: Optional[int] = None) -> Optional[str
         else:
             kind = bundle.eviction_name
         return f"noprefetch-{kind}"
-    if prefetch_type is OnSelectPrefetchPolicy and bundle.eviction_name is None and slots == 1:
+    if bundle.eviction_name is not None or slots != 1:
+        return None
+    if prefetch_type is OnSelectPrefetchPolicy:
         return "onselect"
+    if prefetch_type is HistoryPrefetchPolicy or prefetch_type is MarkovPrefetchPolicy:
+        return "idle"
     return None
 
 
@@ -380,6 +399,208 @@ def _vector_onselect(
         t = np.where(early, spec_end, t_req)
         loaded[bi, region] = module
     return counters, t
+
+
+class _Successors:
+    """Per-board successor counts, one ``(rows, M)`` table row per context.
+
+    A cell holds ``count * (M + 1) + name_rank``, so a row's argmax is
+    ``max(counts.items(), key=(count, name))`` over the successors seen —
+    a count-0 cell (its bare rank) never beats a counted one.
+    """
+
+    def __init__(self, rows: int, rank: np.ndarray):
+        self.n_modules = len(rank)
+        self.stride = self.n_modules + 1
+        self.key = np.tile(rank, (rows, 1))
+        self.cells = self.key.ravel()
+        self.total = np.zeros(rows, dtype=np.int64)
+
+    def add(self, row: np.ndarray, nxt: np.ndarray, valid: np.ndarray) -> None:
+        """Count ``row -> nxt`` where ``valid`` (rows are disjoint per board)."""
+        self.cells[row * self.n_modules + nxt] += valid * self.stride
+        self.total[row] += valid
+
+    def predict(self, row: np.ndarray, min_confidence: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(successor, confident)``: the best successor of each ``row``,
+        and whether it carries at least ``min_confidence`` of the row's
+        observations (False on an empty row)."""
+        keys = self.key[row]
+        count = keys.max(axis=1) // self.stride
+        total = np.maximum(self.total[row], 1)
+        return keys.argmax(axis=1), ~(count / total < min_confidence)
+
+
+def _vector_idle(
+    gaps: np.ndarray,
+    regs: np.ndarray,
+    mods: np.ndarray,
+    *,
+    load_arr: np.ndarray,
+    rank_arr: np.ndarray,
+    latency_ns: int,
+    min_confidence: float,
+    second_order: bool,
+    recorder=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """history / confidence / markov at one slot: idle-time speculation.
+
+    Per ``(board, region)`` the state is the loaded module, whether it is
+    an unclaimed prefetch and at most one in-flight speculative load
+    (module, latency end ``a``, transfer end ``e``); per board, the port's
+    free time, each region's last demand and the predictor's successor
+    tables (:class:`_Successors`, keyed by module index: every region of a
+    fleet shares one module vocabulary, as the policy's name-keyed tables
+    do).
+
+    Port grants are eager: each load reserves ``max(start + latency,
+    port_free)`` when it starts.  Loads start in strictly increasing time
+    order (gaps are >= 1, and only the demanded region acts while the
+    driver waits), so they reach the FIFO port in that order too.
+
+    A step at ``T = previous completion + gap`` first retires the demanded
+    region's speculation if it ended before ``T``; then the demand is an
+    instant hit (the loaded module, region idle or its speculation still
+    in latency), a join (the speculation is the demanded module and past
+    its latency: completes at ``e``), a demand load on an idle region, or
+    a demand behind the in-flight speculation (which retires at ``e``; the
+    demand completes there if it is the same module, else loads next).
+    Every completion but a join then speculates the predicted successor.
+
+    Equal-time events whose kernel order the closed form does not model
+    flag the board: the demanded region's latency or transfer ending
+    exactly at ``T``.  So does an instant hit in a latency window whose
+    speculation would queue behind the flight, unless it names the
+    flight's own module: that job is a no-op, and any later speculation in
+    the same window waits behind it (the core does not track it, so such a
+    board is flagged too, never mis-simulated).
+
+    Returns the counter matrix, the per-board end times (the last event:
+    the final completion or a later speculative transfer end) and the flag
+    mask; the caller replays flagged boards on :class:`_BoardSim`.
+    """
+    n_boards, steps = gaps.shape
+    n_regions, n_modules = load_arr.shape
+    # counter-major, so each per-step update writes one contiguous row
+    counters = np.zeros((_N_COUNTERS, n_boards), dtype=np.int64)
+    flagged = np.zeros(n_boards, dtype=bool)
+    t = np.zeros(n_boards, dtype=np.int64)
+    port_free = np.zeros(n_boards, dtype=np.int64)
+    base = np.arange(n_boards, dtype=np.int64)
+    region_base = base * n_regions
+    module_base = base * n_modules
+    cells = n_boards * n_regions
+    # per (board, region); every region starts with module 0 loaded
+    loaded = np.zeros(cells, dtype=np.int64)
+    unclaimed = np.zeros(cells, dtype=bool)
+    spec_module = np.full(cells, -1, dtype=np.int64)
+    spec_a = np.zeros(cells, dtype=np.int64)
+    spec_e = np.zeros(cells, dtype=np.int64)
+    last_demand = np.full(cells, -1, dtype=np.int64)
+    load_flat = load_arr.ravel()
+    first = _Successors(n_boards * n_modules, rank_arr[0])
+    if second_order:
+        second = _Successors(n_boards * n_modules * n_modules, rank_arr[0])
+        # the policy's board-wide last (before, current) pair; -1 = None
+        pair_before = np.zeros(n_boards, dtype=np.int64)
+        pair_current = np.full(n_boards, -1, dtype=np.int64)
+    if recorder is not None:
+        recorder.mode = "idle"
+    for step in range(steps):
+        region = regs[:, step]
+        module = mods[:, step]
+        t_req = t + gaps[:, step]
+        cell = region_base + region
+        # observe the demand, then predict its successor (the speculation
+        # follows this demand's completion; no other demand comes between)
+        prev = last_demand[cell]
+        last_demand[cell] = module
+        seen = prev >= 0
+        prev = np.where(seen, prev, 0)
+        first.add(module_base + prev, module, seen)
+        pred, confident = first.predict(module_base + module, min_confidence)
+        if second_order:
+            # the pair (before, prev) learns when it chains onto this demand
+            chained = seen & (pair_current == prev)
+            before = np.where(chained, pair_before, 0)
+            second.add((module_base + before) * n_modules + prev, module, chained)
+            pair_before = prev
+            pair_current = np.where(seen, module, -1)
+            # the pair context (prev, module) first, the single module next
+            pred2, confident2 = second.predict(
+                (module_base + pair_before) * n_modules + module, min_confidence
+            )
+            use2 = seen & confident2
+            pred = np.where(use2, pred2, pred)
+            confident |= use2
+        # the demanded region's state; retire a speculation that ended
+        # before the demand (a prefetch load; the module turns unclaimed)
+        loaded_r = loaded[cell]
+        was_unclaimed = unclaimed[cell]
+        spec = spec_module[cell]
+        a = spec_a[cell]
+        e = spec_e[cell]
+        has = spec >= 0
+        flagged |= has & ((e == t_req) | (a == t_req))
+        retired = has & (e < t_req)
+        loaded_r = np.where(retired, spec, loaded_r)
+        unclaimed_r = was_unclaimed | retired
+        flying = has & ~retired
+        past = flying & (a < t_req)
+        hit = (loaded_r == module) & ~past
+        join = past & (spec == module)
+        behind = flying & ~hit & ~join
+        same = behind & (spec == module)
+        behind_other = behind & ~same
+        demand_load = ~(hit | join | same)
+        # the demand's load starts now, or after the speculation ahead of it
+        grant = np.maximum(np.where(behind_other, e, t_req) + latency_ns, port_free)
+        load = load_flat[region * n_modules + module]
+        load_end = grant + load
+        port_free = np.where(demand_load, load_end, port_free)
+        done = np.where(hit, t_req, np.where(demand_load, load_end, e))
+        counters[_I_INSTANT] += hit
+        counters[_I_DEMAND_LOADS] += demand_load
+        counters[_I_PREFETCH_LOADS] += retired
+        counters[_I_PREFETCH_LOADS] += join | behind
+        counters[_I_USEFUL] += hit & unclaimed_r
+        counters[_I_USEFUL] += join | same
+        # every transfer end into the region wastes a still-unclaimed module
+        counters[_I_WASTED] += retired & was_unclaimed
+        counters[_I_WASTED] += (demand_load | same) & unclaimed_r
+        counters[_I_WASTED] += behind_other
+        loaded[cell] = module
+        unclaimed[cell] = False
+        # speculate after the completion (not after a join); an instant
+        # hit inside a latency window can only queue behind the flight
+        waiting = hit & flying
+        wanted = confident & (pred != module)
+        start = wanted & ~join & ~waiting
+        flagged |= waiting & wanted & (pred != spec)
+        spec_start = done + latency_ns
+        spec_grant = np.maximum(spec_start, port_free)
+        spec_load = load_flat[region * n_modules + pred]
+        spec_end = spec_grant + spec_load
+        port_free = np.where(start, spec_end, port_free)
+        spec_module[cell] = np.where(start, pred, np.where(waiting, spec, -1))
+        spec_a[cell] = np.where(start, spec_start, a)
+        spec_e[cell] = np.where(start, spec_end, e)
+        if recorder is not None:
+            recorder.record_step(
+                t_req, done - t_req, hit,
+                grant, np.where(demand_load, load, 0),
+                spec_grant, np.where(start, spec_load, 0),
+            )
+        t = done
+    counters[_I_DEMAND_REQUESTS] = steps
+    # each stall is its completion less its request time, and each request
+    # comes a gap after the previous completion: the stalls telescope
+    counters[_I_STALL] = t - gaps.sum(axis=1)
+    # loads still in flight complete after the last demand
+    flying = (spec_module >= 0).reshape(n_boards, n_regions)
+    counters[_I_PREFETCH_LOADS] += flying.sum(axis=1)
+    counters[_I_WASTED] += (flying & unclaimed.reshape(n_boards, n_regions)).sum(axis=1)
+    return counters.T, np.maximum(t, port_free), flagged
 
 
 # ---------------------------------------------------------------------------
@@ -747,11 +968,13 @@ def _run_vector_core(
     arch: ReconfigArchitecture,
     mode: str,
     recorder=None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run ``traffic`` through the vector core ``mode``.
 
-    Returns the core's ``(boards, COUNTER_FIELDS)`` counter matrix and the
-    per-board end times.
+    Returns the core's ``(boards, COUNTER_FIELDS)`` counter matrix, the
+    per-board end times and the escape mask: boards whose rows the core
+    cannot vouch for and the caller must replay on :class:`_BoardSim`
+    (only the ``idle`` core ever sets it).
     """
     bundle = get_bundle(config.policy)
     region_map = config.region_map()
@@ -766,21 +989,30 @@ def _run_vector_core(
             rank_arr[r, modules.index(module)] = rank
     gaps, regs, mods = traffic.gaps, traffic.regions, traffic.modules
     latency_ns = arch.request_latency_ns
+    if mode == "idle":
+        policy = bundle.prefetch_factory()
+        return _vector_idle(
+            gaps, regs, mods, load_arr=load_arr, rank_arr=rank_arr,
+            latency_ns=latency_ns, min_confidence=policy.min_confidence,
+            second_order=type(policy) is MarkovPrefetchPolicy, recorder=recorder,
+        )
     if mode == "onselect":
-        return _vector_onselect(
+        counters, ends = _vector_onselect(
             gaps, regs, mods, load_arr=load_arr, latency_ns=latency_ns,
             recorder=recorder,
         )
-    slots = config.region_slots if config.region_slots is not None else bundle.region_slots
-    return _vector_noprefetch(
-        gaps, regs, mods,
-        slots=slots,
-        eviction=bundle.eviction_name,
-        load_arr=load_arr,
-        rank_arr=rank_arr,
-        latency_ns=latency_ns,
-        recorder=recorder,
-    )
+    else:
+        slots = config.region_slots if config.region_slots is not None else bundle.region_slots
+        counters, ends = _vector_noprefetch(
+            gaps, regs, mods,
+            slots=slots,
+            eviction=bundle.eviction_name,
+            load_arr=load_arr,
+            rank_arr=rank_arr,
+            latency_ns=latency_ns,
+            recorder=recorder,
+        )
+    return counters, ends, np.zeros(len(ends), dtype=bool)
 
 
 def simulate_fast_fleet(
@@ -793,9 +1025,12 @@ def simulate_fast_fleet(
 
     ``traffic`` holds the fleet's untraced boards — all of them, less the
     first ``config.trace_boards`` that the driver runs on the kernel — and
-    must match ``config``'s request count and region map (``ValueError``
-    otherwise).  The vector cores read its arrays directly; the scalar
-    micro-simulator materializes one board's rows at a time.
+    must match ``config``'s request count and region map and hold valid
+    gaps and indices (``ValueError`` otherwise, see
+    :meth:`FleetTraffic.check`).  The vector cores read its arrays
+    directly; the scalar micro-simulator materializes one board's rows at
+    a time, for a whole fleet without a core or for the boards a core
+    flagged.
 
     Returns per-board stats dicts (``ManagerStats.to_dict()`` form, in
     board order), per-board end times (the last event on each board),
@@ -803,7 +1038,8 @@ def simulate_fast_fleet(
 
     ``recorder`` (a :class:`repro.runtime.fleet.FleetTelemetryRecorder`)
     collects windowed telemetry as per-step array references on the vector
-    cores and per-event tuples on the scalar fallback; all aggregation is
+    cores and per-event tuples on the scalar path; flagged boards' vector
+    rows are masked out in favour of their replay's.  All aggregation is
     deferred to the recorder's flush, so the simulated outcome is
     bit-identical with or without it.
     """
@@ -812,39 +1048,34 @@ def simulate_fast_fleet(
     traffic.check(region_map, untraced, config.requests_per_board)
     mode = vector_mode(config.policy, config.region_slots)
     n_boards = traffic.n_boards
-    if mode is not None and n_boards:
-        counters, ends = _run_vector_core(config, traffic, arch, mode, recorder)
+    vectorized = mode is not None and n_boards > 0
+    if vectorized:
+        counters, ends, flagged = _run_vector_core(config, traffic, arch, mode, recorder)
         rows = [ManagerStats.from_counters(row).to_dict() for row in counters]
         end_times = [int(e) for e in ends]
-        stats = FastRunStats(
-            mode=f"vector:{mode}",
-            vector_boards=n_boards,
-            scalar_boards=0,
-            vector_steps=traffic.steps,
-        )
-        return rows, end_times, stats
-    latency_ns = arch.request_latency_ns
-    load_ns = _load_table(config, arch, region_map)
-    rows = []
-    end_times = []
-    telemetry = (
-        (recorder.demands, recorder.port)
-        if recorder is not None else None
-    )
-    for board in range(n_boards):
-        schedule = traffic.schedule(board)
-        runtime_policy = create_policy(config.policy, region_slots=config.region_slots)
-        sim = _BoardSim(
-            schedule, runtime_policy, region_map, latency_ns, load_ns,
-            telemetry=telemetry,
-        )
-        counters, end = sim.run()
-        rows.append(ManagerStats.from_counters(counters).to_dict())
-        end_times.append(end)
+        replay = np.flatnonzero(flagged).tolist()
+        if replay and recorder is not None:
+            recorder.board_mask = ~flagged
+    else:
+        rows, end_times = [{}] * n_boards, [0] * n_boards
+        replay = list(range(n_boards))
+    if replay:
+        latency_ns = arch.request_latency_ns
+        load_ns = _load_table(config, arch, region_map)
+        telemetry = (recorder.demands, recorder.port) if recorder is not None else None
+        for board in replay:
+            runtime_policy = create_policy(config.policy, region_slots=config.region_slots)
+            sim = _BoardSim(
+                traffic.schedule(board), runtime_policy, region_map, latency_ns, load_ns,
+                telemetry=telemetry,
+            )
+            board_counters, end = sim.run()
+            rows[board] = ManagerStats.from_counters(board_counters).to_dict()
+            end_times[board] = end
     stats = FastRunStats(
         mode="scalar" if mode is None else f"vector:{mode}",
-        vector_boards=0,
-        scalar_boards=n_boards,
-        vector_steps=0,
+        vector_boards=n_boards - len(replay),
+        scalar_boards=len(replay),
+        vector_steps=traffic.steps if vectorized else 0,
     )
     return rows, end_times, stats

@@ -16,7 +16,8 @@ Two engines produce that outcome:
   coupling (shared backhaul, fleet-wide admission control).
 - ``engine="fast"`` (default) — :mod:`repro.runtime.fast` replays the same
   traffic arrays against array-state cores (or an exact scalar
-  micro-simulator for speculative policies), reproducing per-board counters and
+  micro-simulator for multi-slot prefetch and the boards a core flags),
+  reproducing per-board counters and
   ``end_time_ns`` exactly: ``FleetReport.digest()`` is identical across
   engines.  With ``trace_boards > 0`` the first boards still run through a
   kernel subset so their trace lanes keep full event fidelity.
@@ -221,16 +222,20 @@ class FleetTelemetryRecorder:
     Port occupancy counts pure transfer time (no request latency, no port
     wait) and attributes each transfer to the window it *started* in: at
     ``t_req + latency`` on the no-prefetch cores, at the previous
-    completion plus latency on the on-select core, and at the recorded
-    start on the scalar micro-simulator and the kernel (the builder's
+    completion plus latency on the on-select core, at each reservation's
+    port grant on the idle-speculation core, and at the recorded start on
+    the scalar micro-simulator and the kernel (the builder's
     :class:`~repro.reconfig.protocol.LoadOutcome` ``start_ns``).
     """
 
     def __init__(self):
         #: vector-core batches of *raw* step arrays, captured by reference.
         #: No-prefetch cores record ``(t_req, miss, duration)``; on-select
-        #: cores record ``(t_req, stall, early, same, load, t_sel)`` and set
-        #: :attr:`mode`.  Everything else — stalls, hit masks, port
+        #: cores record ``(t_req, stall, early, same, load, t_sel)``; the
+        #: idle-speculation core records ``(t_req, stall, hit, demand
+        #: grant, demand load, speculation grant, speculation load)``, a
+        #: load of 0 where the step made no such reservation.  Each core
+        #: sets :attr:`mode`.  Everything else — stalls, hit masks, port
         #: occupancy — is derived from these in bulk at the store's first
         #: read.  Keeping the retained set minimal matters: every
         #: referenced array blocks numpy's buffer reuse for the whole run,
@@ -246,6 +251,10 @@ class FleetTelemetryRecorder:
         #: core): transfers start that long after the request, and the
         #: no-prefetch core's recorded durations include it
         self.latency_ns: int = 0
+        #: boards whose vector-core rows count (None = all); a core's
+        #: flagged boards are replayed on the scalar path, which records
+        #: their events into :attr:`demands` and :attr:`port` instead
+        self.board_mask: Optional[np.ndarray] = None
         #: per-event demand completions: (t_req, stall_ns, hit)
         self.demands: list[tuple] = []
         #: per-event port transfers: (start_ns, duration_ns)
@@ -280,6 +289,7 @@ class FleetTelemetryRecorder:
             return
         mode = self.mode
         latency = self.latency_ns
+        board_mask, self.board_mask = self.board_mask, None
         denominator = float(store.window) * max(n_boards, 1)
         cache: dict = {}
 
@@ -293,16 +303,23 @@ class FleetTelemetryRecorder:
             parts_t, parts_stall, parts_hit_t = [], [], []
             parts_port_t, parts_port_v = [], []
             if steps:
-                t = _cat([s[0] for s in steps])
-                if mode == "onselect":
-                    stall = _cat([s[1] for s in steps])
-                    hits = ~_cat([s[2] for s in steps])  # same | late
-                    port_mask = ~_cat([s[3] for s in steps])  # every ~same
-                    port_v = _cat([s[4] for s in steps])[port_mask]
-                    port_t = _cat([s[5] for s in steps])[port_mask] + latency
+                cols = [_cat(list(col)) for col in zip(*steps)]
+                if board_mask is not None:
+                    # every step array holds one entry per board, in order
+                    keep = np.tile(board_mask, len(cols[0]) // len(board_mask))
+                    cols = [col[keep] for col in cols]
+                t = cols[0]
+                if mode == "idle":
+                    _, stall, hits, demand_t, demand_v, spec_t, spec_v = cols
+                    port_t = np.concatenate([demand_t, spec_t])
+                    port_v = np.concatenate([demand_v, spec_v])
+                elif mode == "onselect":
+                    _, stall, early, same, load, t_sel = cols
+                    hits = ~early  # same | late
+                    port_v = load[~same]
+                    port_t = t_sel[~same] + latency
                 else:
-                    miss = _cat([s[1] for s in steps])
-                    duration = _cat([s[2] for s in steps])
+                    _, miss, duration = cols
                     stall = np.where(miss, duration, 0)
                     hits = ~miss
                     port_v = duration[miss] - latency

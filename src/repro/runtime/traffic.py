@@ -97,6 +97,14 @@ class FleetTraffic:
     one completes, then demands module
     ``module_names[regions[b, j]][modules[b, j]]`` in region
     ``region_names[regions[b, j]]``.  Name tables are in region-map order.
+
+    Valid traffic has every gap ``>= 1`` (the generators draw ``1 +
+    int(...)``; the engines' closed forms rely on a demand never sharing
+    its instant with the previous completion), every region index in
+    ``[0, len(region_names))`` and every module index in ``[0, n)`` for
+    its region's ``n`` modules.  :meth:`check` enforces this at the
+    engines' boundary, so corrupt traffic raises ``ValueError`` instead of
+    wrapping a negative index or failing deep inside a core.
     """
 
     gaps: np.ndarray
@@ -144,7 +152,8 @@ class FleetTraffic:
         ]
 
     def check(self, region_map: dict[str, list[str]], n_boards: int, steps: int) -> None:
-        """Raise ``ValueError`` unless this traffic fits a fleet's shape."""
+        """Raise ``ValueError`` unless this traffic fits a fleet's shape and
+        holds valid gaps and indices (see the class docstring)."""
         if (self.n_boards, self.steps) != (n_boards, steps):
             raise ValueError(
                 f"traffic schedules cover {self.n_boards} boards x {self.steps} "
@@ -156,6 +165,28 @@ class FleetTraffic:
             raise ValueError(
                 f"traffic schedules use regions {self.region_map()}; "
                 f"expected {region_map} (in that order)"
+            )
+        if not self.gaps.size:
+            return
+        if self.gaps.min() < 1:
+            raise ValueError(
+                f"traffic schedules hold a gap of {self.gaps.min()} ns; every gap must be >= 1"
+            )
+        if self.regions.min() < 0 or self.regions.max() >= len(names):
+            raise ValueError(
+                f"traffic schedules hold region indices in "
+                f"[{self.regions.min()}, {self.regions.max()}]; expected [0, {len(names)})"
+            )
+        sizes = np.array([len(m) for m in modules], dtype=np.int64)
+        # the per-request gather runs only when an index reaches the
+        # smallest region's size (never, for valid uniform layouts)
+        top = self.modules.max()
+        if self.modules.min() < 0 or (
+            top >= sizes.min() and (self.modules >= sizes[self.regions]).any()
+        ):
+            raise ValueError(
+                "traffic schedules hold a module index outside its region's "
+                f"module list (sizes {sizes.tolist()})"
             )
 
 

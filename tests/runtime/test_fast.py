@@ -11,6 +11,8 @@ and end times — the same discipline PR 3 (incremental scheduler) and PR 4
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.reconfig import case_a_standalone
 from repro.reconfig.manager import COUNTER_FIELDS, ManagerStats, ReconfigError
@@ -30,7 +32,6 @@ ALL_POLICIES = policy_names()
 
 #: Policies the vector cores cover at their bundle-default slots.
 VECTORIZED = [p for p in ALL_POLICIES if vector_mode(p) is not None]
-SCALAR = [p for p in ALL_POLICIES if vector_mode(p) is None]
 
 
 def _parity(config: FleetConfig) -> tuple:
@@ -152,18 +153,35 @@ def test_belady_never_ties_match_the_kernel():
 def test_vector_cores_conserve_demands(policy, traffic):
     """Conservation laws, as reductions over the core's counter matrix:
     without prefetch every demand is a load, an instant hit or a resident
-    hit; on-select claims every speculative load with its own demand.
-    Neither core can waste a prefetch."""
+    hit; on-select claims every speculative load with its own demand, and
+    neither can waste a prefetch.  The idle-time speculators leave at most
+    one unclaimed prefetch per region, and a demand is never both a load
+    and an instant hit.  Rows of flagged boards are the scalar replay's,
+    so the laws are asserted on the core's own rows."""
     arch = case_a_standalone()
     mode = vector_mode(policy)
     for seed in (0, 11):
         config = FleetConfig(n_boards=5, requests_per_board=60, policy=policy,
                              traffic=traffic, seed=seed)
-        counters, _ = _run_vector_core(
+        counters, _, flagged = _run_vector_core(
             config, generate_fleet_schedules(config), arch, mode
         )
+        counters = counters[~flagged]
         column = {name: counters[:, i] for i, name in enumerate(COUNTER_FIELDS)}
         assert (column["demand_requests"] == config.requests_per_board).all()
+        if mode == "idle":
+            unclaimed = (
+                column["prefetch_loads"]
+                - column["useful_prefetches"]
+                - column["wasted_prefetches"]
+            )
+            assert ((unclaimed >= 0) & (unclaimed <= config.regions)).all()
+            assert (
+                column["demand_loads"] + column["instant_hits"]
+                <= column["demand_requests"]
+            ).all()
+            assert not column["evictions"].any()
+            continue
         assert not column["wasted_prefetches"].any()
         if mode == "onselect":
             assert (column["prefetch_loads"] == column["useful_prefetches"]).all()
@@ -172,6 +190,57 @@ def test_vector_cores_conserve_demands(policy, traffic):
                 column["demand_requests"]
                 == column["demand_loads"] + column["instant_hits"] + column["resident_hits"]
             ).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    policy=st.sampled_from(["history", "confidence", "markov"]),
+    regions=st.integers(1, 6),
+    modules=st.integers(1, 12),
+    traffic=st.sampled_from(["poisson", "diurnal", "thrash"]),
+    mean_gap_ns=st.integers(1_000, 20_000_000),
+    architecture=st.sampled_from(
+        ["case_a_standalone", "case_b_processor", "case_hybrid_mp", "case_c_jtag"]
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_idle_speculation_core_matches_the_kernel(
+    policy, regions, modules, traffic, mean_gap_ns, architecture, seed
+):
+    """The per-step speculation core (plus the scalar replay of the boards
+    it flags) against the kernel, over random layouts, loads and gaps."""
+    _, fast = _parity(
+        FleetConfig(
+            n_boards=3, requests_per_board=40, policy=policy, traffic=traffic,
+            regions=regions, modules_per_region=modules, mean_gap_ns=mean_gap_ns,
+            architecture=architecture, seed=seed,
+        )
+    )
+    assert fast.engine_stats.mode == "vector:idle"
+
+
+def test_flagged_boards_replay_with_parity_and_identical_telemetry():
+    """A fleet where the speculation core meets an equal-time event it does
+    not model: the flagged board is replayed on the scalar path, its
+    counters and telemetry replace the core's, and both the digest and the
+    telemetry store still match the kernel's."""
+    from repro.obs.telemetry import TimeSeriesStore
+
+    config = FleetConfig(n_boards=4, requests_per_board=60, policy="history",
+                         mean_gap_ns=2_000, seed=8)
+    stores = {}
+    for engine in ENGINES:
+        stores[engine] = TimeSeriesStore(window=1_000_000, clock="sim")
+        report = run_fleet(config, engine=engine, telemetry=stores[engine])
+        if engine == "fast":
+            fast = report
+        else:
+            kernel = report
+    assert fast.engine_stats.mode == "vector:idle"
+    assert fast.engine_stats.scalar_boards > 0
+    assert fast.engine_stats.vector_boards + fast.engine_stats.scalar_boards == 4
+    assert fast.digest() == kernel.digest()
+    assert stores["fast"].to_rows() == stores["kernel"].to_rows()
 
 
 def test_engines_agree_on_empty_fleet():
@@ -213,17 +282,22 @@ def test_vector_mode_dispatch_table():
     # one slot makes eviction bookkeeping unobservable: plain sequential core
     assert vector_mode("lru", 1) == "noprefetch-single"
     assert vector_mode("belady", 1) == "noprefetch-single"
-    # idle-time speculation resists vectorization -> scalar micro-sim
-    assert vector_mode("history") is None
-    assert vector_mode("markov") is None
-    # a multi-slot override on a prefetching bundle falls back too
-    assert vector_mode("fixed", 2) is None
+    # idle-time speculation at one slot: the per-step speculation core
+    assert vector_mode("history") == "idle"
+    assert vector_mode("confidence") == "idle"
+    assert vector_mode("markov") == "idle"
+    # a multi-slot override on a prefetching bundle falls back to the
+    # scalar micro-simulator
+    for policy in ("fixed", "history", "confidence", "markov"):
+        assert vector_mode(policy, 2) is None
+        assert vector_mode(policy, 3) is None
 
 
 def test_vectorized_policies_actually_vectorize():
     """Regression guard: the fast engine must not silently fall back to the
     scalar loop for the bundles the vector cores exist for (the analogue of
-    the incremental scheduler's eval-count guard)."""
+    the incremental scheduler's eval-count guard).  Every bundle has a core
+    at its default slots; prefetch with a multi-slot override has none."""
     for policy in VECTORIZED:
         report = run_fleet(
             FleetConfig(n_boards=4, requests_per_board=25, policy=policy),
@@ -235,9 +309,9 @@ def test_vectorized_policies_actually_vectorize():
         assert stats.vector_boards == 4
         assert stats.scalar_boards == 0
         assert stats.vector_steps == 25
-    for policy in SCALAR:
+    for policy in ("fixed", "history", "markov"):
         report = run_fleet(
-            FleetConfig(n_boards=4, requests_per_board=25, policy=policy),
+            FleetConfig(n_boards=4, requests_per_board=25, policy=policy, region_slots=2),
             engine="fast",
         )
         stats = report.engine_stats
@@ -440,3 +514,28 @@ def test_mismatched_traffic_is_rejected_at_the_boundary():
         dataclasses.replace(config, trace_boards=1), traffic[1:], arch
     )
     assert len(rows) == len(ends) == 2
+
+
+@pytest.mark.parametrize(
+    "column,value",
+    [("gaps", -5), ("gaps", 0), ("regions", -1), ("regions", 2),
+     ("modules", -1), ("modules", 9)],
+)
+@pytest.mark.parametrize("policy", ["lru", "fixed", "history"])
+def test_corrupt_traffic_is_rejected_at_the_boundary(column, value, policy):
+    """Gaps below 1 ns and region or module indices outside their tables
+    raise ``ValueError`` on both engines, before any core runs; before
+    the check, a negative gap moved the digests apart, a -1 index wrapped
+    to the last region or module and an index past the table raised a
+    bare ``IndexError`` from inside a core."""
+    config = FleetConfig(n_boards=3, requests_per_board=20, policy=policy)
+    traffic = generate_fleet_schedules(config)
+    cells = getattr(traffic, column).copy()
+    cells[1, 7] = value
+    corrupt = dataclasses.replace(traffic, **{column: cells})
+    for engine in ENGINES:
+        with pytest.raises(ValueError, match="traffic schedules"):
+            run_fleet(config, engine=engine, schedules=corrupt)
+    with pytest.raises(ValueError, match="traffic schedules"):
+        simulate_fast_fleet(config, corrupt, case_a_standalone())
+    traffic.check(config.region_map(), 3, 20)  # the generated original passes
